@@ -34,6 +34,8 @@ class Solver:
         self.heap: list[tuple[float, int]] = []
         self.ok = True
         self.n_learnt = 0
+        self.conflicts = 0  # over every solve() call
+        self._model: list[bool] = []
         if nvars:
             self.add_vars(nvars)
 
@@ -205,8 +207,9 @@ class Solver:
         return 0
 
     def solve(self, conflict_limit: Optional[int] = None) -> Optional[bool]:
-        """True if satisfiable (model in .value), False if not, None if
-        the conflict budget ran out first."""
+        """True if satisfiable (see model()), False if not, None if the
+        conflict budget ran out first.  Every outcome leaves the solver at
+        decision level 0, so clauses can be added and solve() called again."""
         if not self.ok:
             return False
         if self._propagate() != -1:
@@ -218,6 +221,7 @@ class Solver:
             confl = self._propagate()
             if confl != -1:
                 conflicts += 1
+                self.conflicts += 1
                 if not self.lim:
                     self.ok = False
                     return False
@@ -237,10 +241,13 @@ class Solver:
             else:
                 lit = self._decide()
                 if lit == 0:
+                    self._model = [v > 0 for v in self.value]
+                    self._backtrack(0)
                     return True
                 self.lim.append(len(self.trail))
                 self._enqueue(lit, -1)
 
     def model(self) -> list[bool]:
-        """Truth value per variable, index 0 unused."""
-        return [v > 0 for v in self.value]
+        """Truth value per variable from the last satisfiable solve(),
+        index 0 unused."""
+        return self._model

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -68,7 +67,6 @@ def _emit(args, payload: dict, t0: float, digest: str) -> None:
         "schema": 1,
         "command": args.command,
         "input_sha256": digest,
-        "threads": args.threads,
         "result": payload,
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
@@ -284,11 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact tools for k-order CSPs and triplet compatibility.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--threads", type=int,
-                       default=os.cpu_count() or 1,
-                       help="worker count (results are independent of it)")
-
     p = sub.add_parser("solve", help="decide a k-order instance (.csp)")
     p.add_argument("file")
     p.add_argument("--enumerate", action="store_true",
@@ -296,14 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("branch_and_bound", "exhaustive"),
                    default="branch_and_bound")
     p.add_argument("--node-limit", type=int, default=None)
-    common(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="apply a registered reduction")
     p.add_argument("name")
     p.add_argument("infile")
     p.add_argument("outfile")
-    common(p)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("gadget-verify",
@@ -312,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-symmetry", action="store_true",
                    help="report raw solutions without quotienting")
     p.add_argument("--node-limit", type=int, default=None)
-    common(p)
     p.set_defaults(func=_cmd_gadget_verify)
 
     p = sub.add_parser("tau", help="exact covering number tau(n)")
@@ -320,10 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None,
                    help="decide tau(n) <= k instead of computing tau(n)")
     p.add_argument("--caterpillar", action="store_true")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="give up (exit 2) after this many CDCL conflicts")
     p.add_argument("--export-lp", metavar="PATH", default=None,
                    help="also write the 0/1 model in LP format")
-    common(p)
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("compat",
@@ -331,13 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--caterpillar", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_compat)
 
     p = sub.add_parser("dicolor",
                        help="2-dicolorability of a digraph (.dot)")
     p.add_argument("file")
-    common(p)
     p.set_defaults(func=_cmd_dicolor)
     return parser
 

@@ -2,19 +2,20 @@
 
 ``tau(n)`` is the minimum number of rooted binary trees on leaves {1..n}
 whose displayed triplets jointly cover the full set T_n of all 3*C(n,3)
-triplets; ``tau_c`` restricts the trees to caterpillars.  Both are computed
-exactly by a complete backtracking search over a 0/1 model with one
-three-valued variable per tree slot and leaf triple (which of the three
-orientations the slot's tree displays), constrained by
+triplets; ``tau_c`` restricts the trees to caterpillars.  Deciding
+tau(n) <= k is the k-tree cover question for T_n, so ``tau_decision``
+hands it to the same CDCL model that decides k-tree compatibility
+(``phylo._k_tree_sat``): one variable per tree slot, leaf triple and
+orientation, constrained by
 
   (1) covering: every orientation appears in some slot,
-  (2) trichotomy: one orientation per slot and triple (built into the
-      variable encoding),
+  (2) trichotomy: exactly one orientation per slot and triple,
   (3)+(4) four-leaf closure: ab|c and bc|d force ab|d and ac|d, which
       characterizes the displayed sets of trees,
   (5) in caterpillar mode, the one-cherry rule: never both ab|c and cd|a.
 
-The same model can be written out in LP text format for an external solver.
+The same model can be written out in LP text format for an external
+solver; both take constraints (3)-(5) from ``phylo.four_leaf_closure``.
 
 The module also carries the surrounding machinery: the logarithmic upper
 bound on tau_c with its constructive greedy caterpillar cover (each round
@@ -27,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, count, permutations
+from itertools import combinations, count
 from typing import Iterable, Optional
 
 from .orderings import ordering, var_key
 from .phylo import (
-    RootedTree, Triplet, aho_build, caterpillar_of, displayed_triplets,
-    displays, is_caterpillar, join, triplet, triplet_labels,
+    RootedTree, Triplet, _k_tree_sat, caterpillar_of, displays,
+    four_leaf_closure, join, triplet, triplet_labels,
 )
 
 __all__ = [
@@ -55,15 +56,16 @@ def full_triplet_set(n: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Exact tau via complete search over the 0/1 cover model
+# Exact tau as a k-tree cover of T_n
 
 
 @dataclass(frozen=True)
 class TauDecision:
     """Outcome of deciding whether k trees can display all of T_n.
 
-    ``answer`` is True/False when decided, None when the node budget ran
-    out; ``trees`` carries a witness on yes."""
+    ``answer`` is True/False when decided, None when the CDCL conflict
+    budget ran out; ``trees`` carries a witness on yes, and ``nodes`` is
+    the number of CDCL conflicts spent."""
 
     n: int
     k: int
@@ -73,213 +75,24 @@ class TauDecision:
     nodes: int = 0
 
 
-class _Budget(Exception):
-    pass
-
-
-class _CoverSearch:
-    """Slot-major backtracking over orientation vectors.
-
-    A slot's state is one orientation per leaf triple; a completed slot is
-    exactly a tree by the four-leaf closure.  Slots are forced into
-    lexicographically nondecreasing order (they are interchangeable), and
-    coverage is pruned by counting: a triple with m uncovered orientations
-    needs at least m more slots.
-    """
-
-    def __init__(self, n: int, k: int, caterpillar_mode: bool,
-                 node_limit: Optional[int]):
-        self.n, self.k = n, k
-        self.caterpillar_mode = caterpillar_mode
-        self.node_limit = node_limit
-        self.nodes = 0
-        self.combos = list(combinations(range(1, n + 1), 3))
-        self.index = {c: i for i, c in enumerate(self.combos)}
-        self.m = len(self.combos)
-        rules: dict = {}
-        forbid: dict = {}
-        rule_seen = set()
-        forbid_seen = set()
-        for quad in combinations(range(1, n + 1), 4):
-            for a, b, c, d in permutations(quad):
-                p1 = self._orient(triplet(a, b, c))
-                p2 = self._orient(triplet(b, c, d))
-                for concl in (triplet(a, b, d), triplet(a, c, d)):
-                    q = self._orient(concl)
-                    key = (p1, p2, q) if p1 < p2 else (p2, p1, q)
-                    if key in rule_seen:
-                        continue
-                    rule_seen.add(key)
-                    rules.setdefault(p1, []).append((p2, q))
-                    rules.setdefault(p2, []).append((p1, q))
-                if caterpillar_mode:
-                    p3 = self._orient(triplet(c, d, a))
-                    key = (p1, p3) if p1 < p3 else (p3, p1)
-                    if key not in forbid_seen:
-                        forbid_seen.add(key)
-                        forbid.setdefault(p1, []).append(p3)
-                        forbid.setdefault(p3, []).append(p1)
-        self.rules = rules
-        self.forbid = forbid
-
-    def _orient(self, trip: Triplet) -> tuple:
-        a, b, c = sorted(trip)
-        w = trip[2]
-        return self.index[(a, b, c)], 0 if w == c else (1 if w == b else 2)
-
-    def _triplet(self, i: int, o: int) -> Triplet:
-        a, b, c = self.combos[i]
-        return ((a, b, c), (a, c, b), (b, c, a))[o]
-
-    # -- propagation within the current slot -------------------------------
-
-    def _set(self, i: int, mask: int, trail: list, queue: list) -> bool:
-        old = self.dom[i]
-        new = old & mask
-        if new == old:
-            return True
-        if new == 0:
-            return False
-        trail.append((i, old))
-        self.dom[i] = new
-        if new in (1, 2, 4):
-            o = new.bit_length() - 1
-            # coverage feasibility: the other uncovered orientations of
-            # this triple must fit into the remaining slots
-            missing = 7 & ~(self.covered[i] | new)
-            if missing.bit_count() > self.slots_after:
-                return False
-            queue.append((i, o))
-        return True
-
-    def _propagate(self, trail: list, queue: list) -> bool:
-        while queue:
-            io = queue.pop()
-            i, o = io
-            for j in self.forbid.get(io, ()):
-                jo = j[1]
-                if not self._set(j[0], 7 ^ (1 << jo), trail, queue):
-                    return False
-            for other, concl in self.rules.get(io, ()):
-                if self.dom[other[0]] == 1 << other[1]:
-                    if not self._set(concl[0], 1 << concl[1], trail, queue):
-                        return False
-        return True
-
-    def _undo(self, trail: list) -> None:
-        for i, old in reversed(trail):
-            self.dom[i] = old
-
-    # -- search ------------------------------------------------------------
-
-    def run(self) -> Optional[tuple]:
-        """None on unsatisfiable, else one witness (tuple of triplet
-        frozensets, one per slot); raises _Budget past the node limit."""
-        self.covered = [0] * self.m
-        self.slot_sets: list = []
-        self.prev: Optional[list] = None
-        self.witness: Optional[tuple] = None
-        return self.witness if self._enter_slot(0) else None
-
-    def _enter_slot(self, t: int) -> bool:
-        if t == self.k:
-            assert all(c == 7 for c in self.covered)
-            self.witness = tuple(self.slot_sets)
-            return True
-        self.dom = [7] * self.m
-        self.slots_after = self.k - t - 1
-        trail: list = []
-        queue: list = []
-        ok = True
-        for i in range(self.m):
-            missing = 7 & ~self.covered[i]
-            if missing.bit_count() > self.slots_after + 1:
-                ok = False
-                break
-            if missing.bit_count() == self.slots_after + 1:
-                # every remaining slot must pick a fresh orientation here
-                if not self._set(i, missing, trail, queue):
-                    ok = False
-                    break
-        if ok and t == 0:
-            # leaf-relabeling symmetry: slot 1 restricted to {1,2,3} shows
-            # its lexicographically first orientation
-            ok = self._set(0, 1, trail, queue)
-        if ok:
-            ok = self._propagate(trail, queue) and self._branch(t, 0, t > 0)
-        self._undo(trail)
-        return ok
-
-    def _branch(self, t: int, i: int, tied: bool) -> bool:
-        if i == self.m:
-            return self._complete_slot(t)
-        dom = self.dom[i]
-        if dom in (1, 2, 4):
-            o = dom.bit_length() - 1
-            if tied and o < self.prev[i]:
-                return False
-            return self._branch(t, i + 1, tied and o == self.prev[i])
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            raise _Budget
-        lo = self.prev[i] if tied else 0
-        for o in range(lo, 3):
-            if not dom >> o & 1:
-                continue
-            trail: list = []
-            queue: list = []
-            if self._set(i, 1 << o, trail, queue) and \
-                    self._propagate(trail, queue):
-                if self._branch(t, i + 1, tied and o == self.prev[i]):
-                    return True
-            self._undo(trail)
-        return False
-
-    def _complete_slot(self, t: int) -> bool:
-        ys = [self.dom[i].bit_length() - 1 for i in range(self.m)]
-        saved_covered = self.covered
-        saved_prev, saved_dom = self.prev, self.dom
-        self.covered = [c | 1 << o for c, o in zip(saved_covered, ys)]
-        self.prev = ys
-        self.slot_sets.append(
-            frozenset(self._triplet(i, o) for i, o in enumerate(ys)))
-        if self._enter_slot(t + 1):
-            return True
-        self.slot_sets.pop()
-        self.covered = saved_covered
-        self.prev, self.dom = saved_prev, saved_dom
-        self.slots_after = self.k - t - 1
-        return False
-
-
 def tau_decision(n: int, k: int, caterpillar_mode: bool = False,
                  node_limit: Optional[int] = None) -> TauDecision:
-    """Decide whether k trees (caterpillars) suffice to display T_n."""
+    """Decide whether k trees (caterpillars) suffice to display T_n;
+    ``node_limit`` caps the CDCL conflicts."""
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
     if k < 1:
         raise ValueError(f"need at least one tree slot, got {k}")
-    search = _CoverSearch(n, k, caterpillar_mode, node_limit)
-    try:
-        witness = search.run()
-    except _Budget:
-        return TauDecision(n, k, caterpillar_mode, None, None, search.nodes)
-    if witness is None:
-        return TauDecision(n, k, caterpillar_mode, False, None, search.nodes)
-    trees = []
-    for triplets in witness:
-        tree = aho_build(triplets, range(1, n + 1))
-        assert tree is not None and displayed_triplets(tree) == triplets
-        assert not caterpillar_mode or is_caterpillar(tree)
-        trees.append(tree)
-    return TauDecision(n, k, caterpillar_mode, True, tuple(trees),
-                       search.nodes)
+    answer, trees, conflicts = _k_tree_sat(
+        sorted(full_triplet_set(n)), k, caterpillar_mode, node_limit)
+    return TauDecision(n, k, caterpillar_mode, answer,
+                       tuple(trees) if trees else None, conflicts)
 
 
 @dataclass(frozen=True)
 class TauBound:
-    """tau(n) when ``exact``; otherwise only ``value is None`` and the
-    search certifies tau(n) >= lower_bound."""
+    """tau(n) when ``exact``; otherwise ``value is None`` and the
+    decisions made certify tau(n) >= lower_bound."""
 
     n: int
     caterpillar_mode: bool
@@ -319,7 +132,6 @@ def export_lp_model(n: int, k: int, caterpillar_mode: bool = False) -> str:
                 names[trip, t] = f"x_{trip[0]}_{trip[1]}_{trip[2]}_{t}"
     lines = ["Minimize", " obj: 0", "Subject To"]
     slots = range(1, k + 1)
-    row = 0
     for a, b, c in combinations(range(1, n + 1), 3):
         trips = (triplet(a, b, c), triplet(a, c, b), triplet(b, c, a))
         for trip in trips:
@@ -329,29 +141,13 @@ def export_lp_model(n: int, k: int, caterpillar_mode: bool = False) -> str:
         for t in slots:
             terms = " + ".join(names[trip, t] for trip in trips)
             lines.append(f" one_{a}_{b}_{c}_{t}: {terms} = 1")
-    for quad in combinations(range(1, n + 1), 4):
-        seen = set()
-        for a, b, c, d in permutations(quad):
-            p1, p2 = triplet(a, b, c), triplet(b, c, d)
-            for concl in (triplet(a, b, d), triplet(a, c, d)):
-                key = ("cl", *sorted((p1, p2)), concl)
-                if key in seen:
-                    continue
-                seen.add(key)
-                row += 1
-                for t in slots:
-                    lines.append(
-                        f" cl{row}_{t}: {names[p1, t]} + {names[p2, t]}"
-                        f" - {names[concl, t]} <= 1")
-            if caterpillar_mode:
-                p3 = triplet(c, d, a)
-                key = ("cat", *sorted((p1, p3)))
-                if key not in seen:
-                    seen.add(key)
-                    row += 1
-                    for t in slots:
-                        lines.append(f" cat{row}_{t}:"
-                                     f" {names[p1, t]} + {names[p3, t]} <= 1")
+    closure = (c for quad in combinations(range(1, n + 1), 4)
+               for c in four_leaf_closure(quad, caterpillar_mode))
+    for row, (p, q, r) in enumerate(closure, 1):
+        for t in slots:
+            terms = f"{names[p, t]} + {names[q, t]}"
+            lines.append(f" cl{row}_{t}: {terms} - {names[r, t]} <= 1"
+                         if r else f" cat{row}_{t}: {terms} <= 1")
     lines.append("Binary")
     for name in names.values():
         lines.append(f" {name}")

@@ -526,91 +526,131 @@ class _PartitionSearch:
         return True
 
 
-def _k_tree_sat(triplets: list, k: int) -> Optional[list[RootedTree]]:
-    """k trees jointly displaying the triplets, or None.
+def _cherry(a, b, w) -> tuple:
+    return (a, b, w) if a < b else (b, a, w)
+
+
+def _closure_patterns() -> tuple:
+    impls, pairs = set(), set()
+    for a, b, c, d in permutations(range(4)):
+        p, q = _cherry(a, b, c), _cherry(b, c, d)
+        impls.add((p, q, _cherry(a, b, d)))
+        impls.add((p, q, _cherry(a, c, d)))
+        pairs.add((*sorted((p, _cherry(c, d, a))), None))
+    return sorted(impls), sorted(pairs)
+
+
+_IMPLICATIONS, _ONE_CHERRY = _closure_patterns()
+
+
+def four_leaf_closure(quad, caterpillar: bool = False) -> list:
+    """The four-leaf constraints on one orientation per leaf triple.
+
+    ``quad`` is four leaves in increasing order.  Each constraint is
+    ``(p, q, r)`` over canonical triplets: p and q together force r (ab|c
+    and bc|d force ab|d and ac|d; 48 of them), or, when r is None, p and
+    q exclude each other (the 12 one-cherry pairs ab|c, cd|a; caterpillar
+    mode only).  An orientation of every leaf triple meets all of them
+    exactly when it is the displayed set of a tree (of a caterpillar).
+    """
+    pats = _IMPLICATIONS + _ONE_CHERRY if caterpillar else _IMPLICATIONS
+    return [tuple(None if t is None else (quad[t[0]], quad[t[1]], quad[t[2]])
+                  for t in pat) for pat in pats]
+
+
+def _k_tree_sat(triplets: list, k: int, caterpillars: bool = False,
+                conflict_limit: Optional[int] = None) -> tuple:
+    """Whether k trees (caterpillars if flagged) jointly display the
+    triplets, as ``(answer, trees, conflicts)``: answer is None when the
+    CDCL conflict budget ran out, and trees is the witness on yes.
 
     Encodes the cover as CNF over one orientation per leaf triple per
-    tree: a full orientation satisfies the four-leaf closure implications
-    (xy|z and yz|e entail xy|e and xz|e) exactly when it is the displayed
-    set of a tree, so k closed orientations that each pick the input
-    triplets somewhere are precisely a k-tree cover.
+    tree slot, constrained by the four-leaf closure; k closed orientations
+    that each pick the input triplets somewhere are precisely a k-tree
+    cover.
     """
     labels = sorted(triplet_labels(triplets), key=var_key)
     lidx = {x: i for i, x in enumerate(labels)}
     tri = list(combinations(range(len(labels)), 3))
     tid = {t: i for i, t in enumerate(tri)}
 
-    def lit(a, c, w, b):
-        # cherry {a, c}, witness w, tree slot b
+    def orient(a, c, w):
+        # cherry {a, c}, witness w: orientation 0, 1, 2 of its leaf triple
         key = tuple(sorted((a, c, w)))
-        o = 0 if w == key[2] else (1 if w == key[1] else 2)
-        return 1 + (tid[key] * 3 + o) * k + b
+        return tid[key] * 3 + (0 if w == key[2] else (1 if w == key[1] else 2))
 
-    sat = Solver(len(tri) * 3 * k)
-    for x, y, z in tri:
+    # pos[i][b] is the variable of orientation i in tree slot b; the
+    # clauses share these int objects instead of each holding its own
+    pos = [list(range(1 + i * k, 1 + i * k + k)) for i in range(3 * len(tri))]
+    neg = [[-v for v in row] for row in pos]
+    sat = Solver(len(pos) * k)
+    for i in range(0, len(pos), 3):
+        v0, v1, v2 = pos[i:i + 3]
+        n0, n1, n2 = neg[i:i + 3]
         for b in range(k):
-            v0, v1, v2 = lit(x, y, z, b), lit(x, z, y, b), lit(y, z, x, b)
-            sat.add_clause([v0, v1, v2])  # exactly one orientation
-            sat.add_clause([-v0, -v1])
-            sat.add_clause([-v0, -v2])
-            sat.add_clause([-v1, -v2])
-    def canon(a, c, w):
-        return (a, c, w) if a < c else (c, a, w)
-
+            sat.add_clause([v0[b], v1[b], v2[b]])  # exactly one orientation
+            sat.add_clause([n0[b], n1[b]])
+            sat.add_clause([n0[b], n2[b]])
+            sat.add_clause([n1[b], n2[b]])
     for quad in combinations(range(len(labels)), 4):
-        impls = set()
-        for a, c, w, e in permutations(quad):
-            for concl in ((a, c, e), (a, w, e)):
-                impls.add((canon(a, c, w), canon(c, w, e), canon(*concl)))
-        for p1, p2, concl in sorted(impls):
-            for b in range(k):
-                sat.add_clause([-lit(*p1, b), -lit(*p2, b), lit(*concl, b)])
-    itrips = [tuple(lidx[x] for x in t) for t in triplets]
-    for t in itrips:
-        sat.add_clause([lit(*t, b) for b in range(k)])
-    sat.add_clause([lit(*itrips[0], 0)])  # WLOG the first slot covers it
-    if not sat.solve():
-        return None
+        for p, q, r in four_leaf_closure(quad, caterpillars):
+            not_p, not_q = neg[orient(*p)], neg[orient(*q)]
+            if r is None:
+                for b in range(k):
+                    sat.add_clause([not_p[b], not_q[b]])
+            else:
+                then_r = pos[orient(*r)]
+                for b in range(k):
+                    sat.add_clause([not_p[b], not_q[b], then_r[b]])
+    covers = [orient(*(lidx[x] for x in t)) for t in triplets]
+    for i in covers:
+        sat.add_clause(pos[i])
+    sat.add_clause([pos[covers[0]][0]])  # WLOG the first slot covers it
+    answer = sat.solve(conflict_limit)
+    if not answer:
+        return answer, None, sat.conflicts
     model = sat.model()
     out = []
     for b in range(k):
         chosen = set()
-        for x, y, z in tri:
-            for a, c, w in ((x, y, z), (x, z, y), (y, z, x)):
-                if model[lit(a, c, w, b)]:
+        for i, (x, y, z) in enumerate(tri):
+            for o, (a, c, w) in enumerate(((x, y, z), (x, z, y), (y, z, x))):
+                if model[pos[3 * i + o][b]]:
                     chosen.add(triplet(labels[a], labels[c], labels[w]))
         tree = aho_build(chosen)
-        assert tree is not None
+        if tree is None or caterpillars and not is_caterpillar(tree):
+            raise RuntimeError(f"tree slot {b} of the CNF model is not a "
+                               + ("caterpillar" if caterpillars else "tree"))
         out.append(tree)
     for t in triplets:
-        assert any(displays(tree, t) for tree in out)
-    return out
+        if not any(displays(tree, t) for tree in out):
+            raise RuntimeError(f"CNF model trees do not display {t}")
+    return True, out, sat.conflicts
 
 
 def k_tree_compatible(triplets: Iterable[Triplet], k: int,
-                      caterpillars_only: bool = False,
-                      labels: Optional[Iterable] = None
+                      caterpillars_only: bool = False
                       ) -> Optional[list[RootedTree]]:
     """At most k trees (caterpillars if flagged) jointly displaying the
     triplets, or None.  Caterpillar covers come from a complete search
     over triplet -> block partitions (see _PartitionSearch), tree covers
     from the propositional orientation model (see _k_tree_sat)."""
     triplets = sorted(frozenset(triplets), key=lambda t: tuple(map(var_key, t)))
-    if labels is None:
-        labels = triplet_labels(triplets)
     if k < 1:
         raise ValueError("k must be >= 1")
     if not triplets:
         return []
     if not caterpillars_only:
-        return _k_tree_sat(triplets, k)
+        return _k_tree_sat(triplets, k)[1]
     blocks = _PartitionSearch(triplets, k).run()
     if blocks is None:
         return None
     out = []
     for block in blocks:
         tree = caterpillar_compatible(block)
-        assert tree is not None
+        if tree is None:
+            raise RuntimeError(f"partition block is not caterpillar-"
+                               f"compatible: {sorted(block)}")
         out.append(tree)
     return out
 

@@ -341,7 +341,8 @@ def _cnf_decide(inst: Instance, cfg: SolverConfig) -> Optional[Solution]:
         orderings.append(LinearOrdering(
             sorted(vars_, key=lambda v: rank[v])))
     sol = Solution(orderings)
-    assert check_solution(inst, sol)
+    if not check_solution(inst, sol):
+        raise RuntimeError("CNF model orderings do not satisfy the instance")
     return sol
 
 

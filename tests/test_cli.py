@@ -5,9 +5,13 @@ import json
 import pytest
 
 from triord.cli import main
+from triord.extremal import full_triplet_set
 from triord.gadgets import PI6_GADGET, gadget_instance
 from triord.orderings import format_instance, make_instance, parse_instance
-from triord.phylo import format_triplets, parse_triplets, to_dot, triplet
+from triord.phylo import (
+    displayed_triplets, format_triplets, is_caterpillar, parse_newick,
+    parse_triplets, to_dot, triplet,
+)
 from triord.phylo import Digraph
 
 
@@ -169,6 +173,18 @@ def test_tau_decision_exit_codes(capsys):
     assert code == 1 and report["result"]["decision"] is False
     code, report = run(capsys, "tau", "--n", "4", "--k", "3", "--caterpillar")
     assert code == 0 and report["result"]["decision"] is True
+
+
+@pytest.mark.parametrize("flags", [[], ["--caterpillar"]])
+def test_tau_8(capsys, flags):
+    code, report = run(capsys, "tau", "--n", "8", *flags)
+    assert code == 0 and report["result"]["value"] == 4
+    trees = [parse_newick(s) for s in report["result"]["trees"]]
+    assert len(trees) == 4
+    if flags:
+        assert all(is_caterpillar(t) for t in trees)
+    assert set().union(*map(displayed_triplets, trees)) == \
+        full_triplet_set(8)
 
 
 def test_tau_budget_unknown(capsys):

@@ -107,6 +107,21 @@ def test_tau_ordering_invariants():
         assert plain <= cat <= log_upper_bound(n)
 
 
+@pytest.mark.parametrize("cat", [False, True])
+def test_tau_8(cat):
+    # restricting a cover of T_8 to five leaves covers T_5, so
+    # tau(8) >= tau(5) = 4; four trees (caterpillars) suffice
+    b = tau(8, caterpillar_mode=cat)
+    assert b.value == 4 and len(b.witnesses) == 4
+    displayed = set()
+    for t in b.witnesses:
+        assert t.leaves == set(range(1, 9))
+        if cat:
+            assert is_caterpillar(t)
+        displayed |= displayed_triplets(t)
+    assert displayed == full_triplet_set(8)
+
+
 def test_closure_constraints_characterize_trees():
     # an orientation per leaf triple satisfies the four-leaf closure iff
     # it is the displayed set of some tree

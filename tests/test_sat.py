@@ -81,3 +81,34 @@ def test_conflict_limit_returns_unknown():
         for p, q in itertools.combinations(range(8), 2):
             s.add_clause([-var(p, h), -var(q, h)])
     assert s.solve(conflict_limit=10) is None
+
+
+def test_clauses_added_after_a_solve():
+    # a satisfiable solve must not leave its assignment behind for
+    # add_clause to read: x1 = True still satisfies both clauses
+    s = Solver(2)
+    s.add_clause([1, 2])
+    assert s.solve() is True
+    s.add_clause([-2])
+    assert s.solve() is True
+    assert s.model()[1] and not s.model()[2]
+    s.add_clause([-1])
+    assert s.solve() is False
+
+
+def test_conflicts_accumulate_over_solves():
+    holes = 3
+
+    def var(p, h):
+        return p * holes + h + 1
+
+    s = Solver(4 * holes)
+    for p in range(4):
+        s.add_clause([var(p, h) for h in range(holes)])
+    for h in range(holes):
+        for p, q in itertools.combinations(range(4), 2):
+            s.add_clause([-var(p, h), -var(q, h)])
+    assert s.solve(conflict_limit=1) is None
+    assert s.conflicts == 1
+    assert s.solve() is False
+    assert s.conflicts > 1
