@@ -208,8 +208,10 @@ class Solver:
 
     def solve(self, conflict_limit: Optional[int] = None) -> Optional[bool]:
         """True if satisfiable (see model()), False if not, None if the
-        conflict budget ran out first.  Every outcome leaves the solver at
-        decision level 0, so clauses can be added and solve() called again."""
+        search needs more than ``conflict_limit`` analysed conflicts (a
+        conflict at level 0 proves unsatisfiability and is not counted).
+        Every outcome leaves the solver at decision level 0, so clauses can
+        be added and solve() called again."""
         if not self.ok:
             return False
         if self._propagate() != -1:
@@ -220,11 +222,14 @@ class Solver:
         while True:
             confl = self._propagate()
             if confl != -1:
-                conflicts += 1
-                self.conflicts += 1
                 if not self.lim:
                     self.ok = False
                     return False
+                if conflict_limit is not None and conflicts >= conflict_limit:
+                    self._backtrack(0)
+                    return None
+                conflicts += 1
+                self.conflicts += 1
                 learnt, back = self._analyze(confl)
                 self._backtrack(back)
                 reason = -1 if len(learnt) == 1 else self._attach(learnt)
@@ -232,9 +237,6 @@ class Solver:
                     self.n_learnt += 1
                 self._enqueue(learnt[0], reason)
                 self.inc *= _VAR_DECAY
-                if conflict_limit is not None and conflicts >= conflict_limit:
-                    self._backtrack(0)
-                    return None
                 if conflicts >= restart:
                     restart = conflicts + int(restart * 1.5)
                     self._backtrack(0)

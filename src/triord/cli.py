@@ -29,11 +29,7 @@ from .phylo import (
     to_newick, two_dicolorable,
 )
 from .reductions import REDUCTIONS
-from .orderings import TRIVIAL_2ORDER, LinearOrdering
-from .solver import (
-    BudgetExceeded, SolverConfig, check_solution, enumerate_solutions,
-    solve, trivial_pair_solution,
-)
+from .solver import BudgetExceeded, SolverConfig, enumerate_solutions, solve
 
 EXIT_YES, EXIT_NO, EXIT_UNKNOWN = 0, 1, 2
 
@@ -84,8 +80,7 @@ def _cmd_solve(args, t0) -> int:
         inst = parse_instance(text)
     except ValueError as e:
         raise _CliError(f"{args.file}: {e}") from None
-    cfg = SolverConfig(mode=args.mode, enumerate_all=args.enumerate,
-                       node_limit=args.node_limit)
+    cfg = SolverConfig(mode=args.mode, node_limit=args.node_limit)
     payload = {
         "pi": inst.pi.index, "k": inst.k,
         "variables": len(inst.vars), "constraints": len(inst.constraints),
@@ -97,13 +92,6 @@ def _cmd_solve(args, t0) -> int:
             payload["solution_count"] = len(sols)
             payload["solutions"] = [s.to_lists() for s in sols]
             sat = bool(sols)
-        elif inst.pi.index in TRIVIAL_2ORDER and inst.k >= 2:
-            # always-satisfiable family: emit the reversal-pair witness
-            sol = trivial_pair_solution(
-                inst, LinearOrdering(inst.sorted_vars()))
-            assert check_solution(inst, sol)
-            payload["satisfiable"] = sat = True
-            payload["solution"] = sol.to_lists()
         else:
             sol = solve(inst, cfg)
             payload["satisfiable"] = sat = sol is not None
@@ -288,7 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="list every solution multiset")
     p.add_argument("--mode", choices=("branch_and_bound", "exhaustive"),
                    default="branch_and_bound")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="give up (exit 2) after this many CDCL conflicts, "
+                   "or search nodes with --enumerate or --mode exhaustive")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="apply a registered reduction")
@@ -302,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=("pi5", "pi6", "pi9", "tree-triple"))
     p.add_argument("--no-symmetry", action="store_true",
                    help="report raw solutions without quotienting")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="give up after this many enumeration search nodes")
     p.set_defaults(func=_cmd_gadget_verify)
 
     p = sub.add_parser("tau", help="exact covering number tau(n)")

@@ -202,7 +202,8 @@ def greedy_caterpillar_cover(r: Iterable[Triplet]) -> list:
     while remaining:
         cat = _greedy_caterpillar(remaining, labels)
         shown = {t for t in remaining if displays(cat, t)}
-        assert 3 * len(shown) >= len(remaining)
+        if 3 * len(shown) < len(remaining):
+            raise RuntimeError("greedy caterpillar shows under a third")
         remaining -= shown
         cover.append(cat)
     return cover

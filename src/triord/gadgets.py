@@ -10,11 +10,12 @@ The tree gadget is a triple of 6-leaf caterpillars whose combined displayed
 triplet set admits no other covering triple among all 945^3 triples of
 rooted binary trees on {0..5}.  `derive_caterpillar_triple` reconstructs it
 by complete search; structural facts (root children 5/1/0, cherries
-{0,1}/{0,5}) narrow the candidate space and are re-asserted on the result.
+{0,1}/{0,5}) narrow the candidate space and are re-checked on the result.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import factorial
@@ -102,17 +103,11 @@ def gadget_instance(generators: list[LinearOrdering], pi, k: int) -> Instance:
     return Instance(dom, tuple(sorted(cs)), pi, k)
 
 
-def _ordered_count(sol: Solution) -> int:
-    """Distinct ordered arrangements of a solution multiset."""
-    k = len(sol.orderings)
-    total = factorial(k)
-    i = 0
-    while i < k:
-        j = i
-        while j < k and sol.orderings[j] == sol.orderings[i]:
-            j += 1
-        total //= factorial(j - i)
-        i = j
+def _ordered_count(members) -> int:
+    """Distinct ordered arrangements of a multiset: k! / prod(m_i!)."""
+    total = factorial(len(members))
+    for m in Counter(members).values():
+        total //= factorial(m)
     return total
 
 
@@ -122,8 +117,7 @@ def verify_uniqueness(generators: list[LinearOrdering], pi, k: int,
     """Enumerate all solutions of the gadget instance and compare with the
     generator multiset modulo the given symmetry."""
     inst = gadget_instance(generators, pi, k)
-    cfg = SolverConfig(mode="branch_and_bound", enumerate_all=True,
-                       node_limit=node_limit)
+    cfg = SolverConfig(mode="branch_and_bound", node_limit=node_limit)
     found = enumerate_solutions(inst, cfg)
     expected = (Solution(generators),)
     found_q = {sym.canonical(s) for s in found}
@@ -133,7 +127,7 @@ def verify_uniqueness(generators: list[LinearOrdering], pi, k: int,
         expected=expected,
         found=tuple(found),
         unique=found_q == expected_q,
-        raw_ordered_count=sum(_ordered_count(s) for s in found),
+        raw_ordered_count=sum(_ordered_count(s.orderings) for s in found),
         symmetry=sym,
     )
 
@@ -215,7 +209,7 @@ def verify_tree_uniqueness(triple: tuple[RootedTree, RootedTree, RootedTree]
                            ) -> GadgetReport:
     """Scan all triples of rooted binary trees on {0..5} for covers of the
     triple's displayed-triplet union; unique iff only slot-permutations of
-    the input cover it.  For triples of three distinct trees, also asserts
+    the input cover it.  For triples of three distinct trees, also checks
     that no covering triple contains a tree with two or more cherries (for
     degenerate inputs the union is too small for that to hold)."""
     if any(t.leaves != frozenset(_GADGET_LEAVES) for t in triple):
@@ -230,27 +224,18 @@ def verify_tree_uniqueness(triple: tuple[RootedTree, RootedTree, RootedTree]
     covers = _covering_triples(tmasks, cover, limit=4)
     self_t = tuple(sorted(tree_index[t] for t in triple))
     unique = covers == {self_t}
-    if len(set(triple)) == 3:
-        for c in covers:
-            for i in c:
-                assert len(cherries(trees[i])) == 1, \
-                    "covering triple contains a multi-cherry tree"
+    if len(set(triple)) == 3 and any(len(cherries(trees[i])) != 1
+                                     for c in covers for i in c):
+        raise RuntimeError("covering triple contains a multi-cherry tree")
     found = tuple(tuple(trees[i] for i in c) for c in sorted(covers))
     return GadgetReport(
         instance=None,
         expected=(tuple(triple),),
         found=found,
         unique=unique,
-        raw_ordered_count=sum(_ordered_count_tuple(c) for c in covers),
+        raw_ordered_count=sum(_ordered_count(c) for c in covers),
         symmetry=NO_SYMMETRY,
     )
-
-
-def _ordered_count_tuple(ids: tuple) -> int:
-    total = factorial(len(ids))
-    for x in set(ids):
-        total //= factorial(ids.count(x))
-    return total
 
 
 def derive_caterpillar_triple() -> tuple[tuple[RootedTree, RootedTree, RootedTree],
@@ -259,7 +244,7 @@ def derive_caterpillar_triple() -> tuple[tuple[RootedTree, RootedTree, RootedTre
     triplet union has no other covering tree triple.
 
     The candidate space is cut down by necessary structural facts (each is
-    re-asserted on the result): the root child of C1 is leaf 5, of C2 leaf 1,
+    re-checked on the result): the root child of C1 is leaf 5, of C2 leaf 1,
     of C3 leaf 0; {0,1} is a cherry of C1 and {0,5} of C2.  A cheap
     rigidity filter (each member must be the only tree covering its private
     triplets) precedes the complete covering scan.  Returns the
@@ -299,10 +284,10 @@ def derive_caterpillar_triple() -> tuple[tuple[RootedTree, RootedTree, RootedTre
         if _covering_triples(tmasks, cover, limit=1) == \
                 {tuple(sorted((i1, i2, i3)))}:
             triple = (t1, t2, t3)
-            for t, root_child in zip(triple, (5, 1, 0)):
-                assert _root_leaf_child(t) == root_child
-            assert frozenset({0, 1}) in cherries(t1)
-            assert frozenset({0, 5}) in cherries(t2)
+            if [_root_leaf_child(t) for t in triple] != [5, 1, 0] \
+                    or frozenset({0, 1}) not in cherries(t1) \
+                    or frozenset({0, 5}) not in cherries(t2):
+                raise RuntimeError("caterpillar triple lost its structure")
             return triple, tuple(ordering_of(t) for t in triple)
     raise RuntimeError("no qualifying caterpillar triple exists")
 

@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 from ._sat import Solver
-from .orderings import LinearOrdering, var_key
+from .orderings import LinearOrdering, _parse_name, var_key
 
 Label = object
 Triplet = tuple  # canonical (a, b, c): a < b by var_key, witness c
@@ -399,7 +399,8 @@ def caterpillar_compatible(triplets: Iterable[Triplet],
     if order is None:
         return None
     cat = caterpillar_of(order[::-1])
-    assert all(displays(cat, t) for t in triplets)
+    if not all(displays(cat, t) for t in triplets):
+        raise RuntimeError("caterpillar does not display every triplet")
     return cat
 
 
@@ -735,7 +736,7 @@ def parse_newick(text: str) -> RootedTree:
         tok = text[start:pos].strip()
         if not tok:
             raise ValueError(f"empty label at offset {start}")
-        return int(tok) if tok.lstrip("-").isdigit() else tok
+        return _parse_name(tok)
 
     shape = parse()
     if pos != len(text):
@@ -756,8 +757,7 @@ def parse_triplets(text: str) -> frozenset:
             (c,) = right.split()
         except ValueError:
             raise ValueError(f"line {lineno}: expected `a b | c`") from None
-        parse = lambda s: int(s) if s.lstrip("-").isdigit() else s
-        out.add(triplet(parse(a), parse(b), parse(c)))
+        out.add(triplet(_parse_name(a), _parse_name(b), _parse_name(c)))
     return frozenset(out)
 
 
@@ -782,8 +782,7 @@ def parse_dot(text: str) -> Digraph:
     arcs = set()
 
     def parse(tok: str):
-        tok = tok.strip().strip(';').strip('"')
-        return int(tok) if tok.lstrip("-").isdigit() else tok
+        return _parse_name(tok.strip().strip(';').strip('"'))
 
     for raw in text.splitlines():
         line = raw.strip()

@@ -21,8 +21,8 @@ from .orderings import (
     ordering, pi_family, restrict, reversal, satisfies, var_key,
 )
 from .phylo import (
-    Digraph, RootedTree, caterpillar_of, cherries, displays, is_caterpillar,
-    restrict_tree, triplet,
+    Digraph, RootedTree, _shape_leaves, caterpillar_of, cherries, displays,
+    is_caterpillar, restrict_tree, triplet,
 )
 from .solver import Solution
 
@@ -482,12 +482,6 @@ def flatten_to_caterpillar(t: RootedTree) -> RootedTree:
     return caterpillar_of(tuple(reversed(out)))
 
 
-def _shape_leaves(shape) -> set:
-    if not isinstance(shape, tuple):
-        return {shape}
-    return _shape_leaves(shape[0]) | _shape_leaves(shape[1])
-
-
 # ---------------------------------------------------------------------------
 # Dicoloring: bounded out-degree, then triplet encoding
 
@@ -532,7 +526,8 @@ def reduce_dichromatic_to_outdeg3(d: Digraph) -> Digraph:
                     grow(node, half)
 
         grow(v, children)
-        assert len(internals) == deg - 2
+        if len(internals) != deg - 2:
+            raise RuntimeError(f"out-tree of {v!r} has the wrong size")
         # mirror gadget: complete binary tree, every arc doubled, leaves at
         # equal depth; the first deg-1 leaves couple to v and the internals
         depth = ceil(log2(deg - 1))
@@ -554,7 +549,8 @@ def reduce_dichromatic_to_outdeg3(d: Digraph) -> Digraph:
                               (f"{tag}:w{j}" for j in range(deg - 1))):
             arcs |= {(coupled, w), (w, coupled)}
     result = Digraph(frozenset(verts), frozenset(arcs))
-    assert max((len(ws) for ws in _out_arcs(result).values()), default=0) <= 3
+    if max((len(ws) for ws in _out_arcs(result).values()), default=0) > 3:
+        raise RuntimeError("reduced digraph has out-degree above 3")
     return result
 
 

@@ -1,17 +1,20 @@
 """Exact decision and enumeration for k-order instances.
 
-Two complete engines:
+- ``solve`` decides: the always-satisfiable 2-order families (Pi2, Pi3,
+  Pi7, Pi8, Pi10 with k >= 2) by the reversal pair {alpha, reverse alpha},
+  every other instance by CDCL over pairwise order relations.
+- ``enumerate_solutions`` lists every solution: it builds the k orderings
+  position by position, in turn; a constraint stays "alive" on an ordering
+  until its variables' placements rule out every pattern there, and a
+  branch is cut once some constraint is dead on all k orderings.
+- ``mode="exhaustive"`` answers both questions by scanning all multisets of
+  k full orderings (per-ordering constraint bitmasks, so the inner loop is
+  a word OR); it is the independent oracle for the two engines above.
 
-- ``exhaustive``: scan all multisets of k full orderings, with per-ordering
-  satisfied-constraint bitmasks so the inner loop is a word OR.
-- ``branch_and_bound``: build the k orderings position-by-position in
-  parallel; each constraint stays "alive" on an ordering until its three
-  variables' placements rule out every pattern there; prune as soon as some
-  constraint is dead on all k orderings.
-
-Solutions are multisets of orderings (size exactly k; "at most k" instances
-are covered because members may repeat).  Enumeration output is canonical:
-each multiset sorted lexicographically, the list of multisets likewise.
+Solutions are multisets of orderings (size exactly k, the reversal pair
+aside; "at most k" instances are covered because members may repeat), each
+checked against the instance before it is returned.  Enumeration output is
+canonical: each multiset sorted lexicographically, the list likewise.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from typing import Optional
 
 from ._sat import Solver as _CnfSolver
 from .orderings import (
-    Instance, LinearOrdering, Triple, pattern_matches, reversal, satisfies,
-    var_key,
+    TRIVIAL_2ORDER, Instance, LinearOrdering, reversal, satisfies,
 )
 
 
@@ -34,15 +36,15 @@ class BudgetExceeded(Exception):
 @dataclass(frozen=True)
 class SolverConfig:
     mode: str = "branch_and_bound"  # or "exhaustive"
+    # decision only: fix the order of the two smallest variables in
+    # ordering 0 for reversal-closed families; enumeration ignores it
     symmetry_breaking: bool = False
-    enumerate_all: bool = False
+    # CDCL conflicts for solve() by default, search nodes otherwise
     node_limit: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "branch_and_bound"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.enumerate_all and self.symmetry_breaking:
-            raise ValueError("enumeration requires symmetry_breaking=False")
 
 
 class Solution:
@@ -133,13 +135,11 @@ def _exhaustive(inst: Instance, cfg: SolverConfig, want_all: bool):
 
 
 # ---------------------------------------------------------------------------
-# Branch-and-bound engine
-
-_DEAD, _OPEN, _SAT = 0, 1, 2
+# Positional enumeration engine
 
 
-def _chain_status(chain, pos):
-    """Feasibility of one pattern chain against a partial ordering.
+def _chain_alive(chain, pos) -> bool:
+    """Whether one pattern chain can still match a partial ordering.
 
     ``pos`` maps placed variables to positions.  Unplaced variables will land
     strictly after every placed one, so a chain is still feasible iff its
@@ -151,21 +151,21 @@ def _chain_status(chain, pos):
         p = pos.get(v)
         if p is None:
             unplaced = True
+        elif unplaced or p <= prev:
+            return False
         else:
-            if unplaced or p <= prev:
-                return _DEAD
             prev = p
-    return _OPEN if unplaced else _SAT
+    return True
 
 
 class _BnB:
-    def __init__(self, inst: Instance, cfg: SolverConfig, want_all: bool):
-        self.inst = inst
-        self.cfg = cfg
-        self.want_all = want_all
+    """Every placement sequence of the k orderings that no constraint
+    rules out.  Node d places the next variable of ordering d % k."""
+
+    def __init__(self, inst: Instance, cfg: SolverConfig):
+        self.node_limit = cfg.node_limit
         self.k = inst.k
         self.vars = inst.sorted_vars()
-        self.m = len(self.vars)
         self.chains = [
             [tuple(c[s - 1] for s in p) for p in inst.pi.perms]
             for c in inst.constraints
@@ -175,108 +175,58 @@ class _BnB:
             for v in set(c):
                 self.by_var[v].append(ci)
         nC = len(inst.constraints)
-        self.status = [[_OPEN] * self.k for _ in range(nC)]
-        self.possible = [self.k] * nC  # orderings where not dead
-        self.sat = [0] * nC            # orderings where fully satisfied
+        self.alive = [[True] * self.k for _ in range(nC)]
+        self.possible = [self.k] * nC  # orderings where still alive
         self.seqs = [[] for _ in range(self.k)]
         self.pos = [dict() for _ in range(self.k)]
         self.nodes = 0
         self.found: list[Solution] = []
-        self.stop = False
-        # decision-mode symmetry breaking for pattern-reversal-closed
-        # families: the two smallest variables keep a fixed relative order
-        # in ordering 0
-        self.sym_pair = None
-        if cfg.symmetry_breaking and _reversal_closed(inst.pi) and self.m >= 2:
-            self.sym_pair = (self.vars[0], self.vars[1])
 
     def _place(self, t, v):
+        """Place v next in ordering t; return the constraints it killed."""
         self.seqs[t].append(v)
-        self.pos[t][v] = len(self.seqs[t])
-        undo = []
-        ok = True
+        pos = self.pos[t]
+        pos[v] = len(self.seqs[t])
+        killed = []
         for ci in self.by_var[v]:
-            old = self.status[ci][t]
-            if old == _DEAD:
+            if not self.alive[ci][t]:
                 continue
-            st = _DEAD
             for chain in self.chains[ci]:
-                cs = _chain_status(chain, self.pos[t])
-                if cs == _SAT:
-                    st = _SAT
+                if _chain_alive(chain, pos):
                     break
-                if cs == _OPEN:
-                    st = _OPEN
-            if st != old:
-                undo.append((ci, old))
-                self.status[ci][t] = st
-                if st == _DEAD:
-                    self.possible[ci] -= 1
-                    if self.possible[ci] == 0:
-                        ok = False
-                elif st == _SAT:
-                    self.sat[ci] += 1
-        return undo, ok
+            else:
+                self.alive[ci][t] = False
+                self.possible[ci] -= 1
+                killed.append(ci)
+        return killed
 
-    def _unplace(self, t, v, undo):
-        for ci, old in undo:
-            cur = self.status[ci][t]
-            if cur == _DEAD:
-                self.possible[ci] += 1
-            elif cur == _SAT:
-                self.sat[ci] -= 1
-            self.status[ci][t] = old
+    def _unplace(self, t, v, killed):
+        for ci in killed:
+            self.alive[ci][t] = True
+            self.possible[ci] += 1
         del self.pos[t][v]
         self.seqs[t].pop()
 
-    def _pick_ordering(self):
-        best, best_len = None, None
-        for t in range(self.k):
-            l = len(self.seqs[t])
-            if l < self.m and (best is None or l < best_len):
-                best, best_len = t, l
-        return best
-
-    def _candidates(self, t):
-        placed = self.pos[t]
-        cand = [v for v in self.vars if v not in placed]
-        weight = {v: 0 for v in cand}
-        for v in cand:
-            for ci in self.by_var[v]:
-                if self.status[ci][t] == _OPEN and self.sat[ci] == 0:
-                    weight[v] += 1
-        cand.sort(key=lambda v: (-weight[v], var_key(v)))
-        return cand
-
     def run(self):
-        self._search()
+        self._search(0)
         return self.found
 
-    def _search(self):
-        if self.stop:
-            return
-        t = self._pick_ordering()
-        if t is None:
-            # complete assignment; pruning guarantees every constraint is
-            # satisfied somewhere, but assert cheaply anyway
-            assert all(s > 0 for s in self.sat) or not self.sat
+    def _search(self, depth):
+        if depth == self.k * len(self.vars):
             self.found.append(Solution(LinearOrdering(s) for s in self.seqs))
-            if not self.want_all:
-                self.stop = True
             return
-        for v in self._candidates(t):
-            if self.sym_pair is not None and t == 0 and v == self.sym_pair[1] \
-                    and self.sym_pair[0] not in self.pos[0]:
+        t = depth % self.k
+        placed = self.pos[t]
+        for v in self.vars:
+            if v in placed:
                 continue
             self.nodes += 1
-            if self.cfg.node_limit is not None and self.nodes > self.cfg.node_limit:
+            if self.node_limit is not None and self.nodes > self.node_limit:
                 raise BudgetExceeded(self.nodes)
-            undo, ok = self._place(t, v)
-            if ok:
-                self._search()
-            self._unplace(t, v, undo)
-            if self.stop:
-                return
+            killed = self._place(t, v)
+            if all(self.possible[ci] for ci in killed):
+                self._search(depth + 1)
+            self._unplace(t, v, killed)
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +308,27 @@ def solve(inst: Instance, cfg: SolverConfig = SolverConfig()) -> Optional[Soluti
     if cfg.mode == "exhaustive":
         found = _exhaustive(inst, cfg, want_all=False)
         return found[0] if found else None
+    if inst.pi.index in TRIVIAL_2ORDER and inst.k >= 2:
+        sol = trivial_pair_solution(inst, LinearOrdering(inst.sorted_vars()))
+        if not check_solution(inst, sol):
+            raise RuntimeError("reversal pair does not satisfy the instance")
+        return sol
     return _cnf_decide(inst, cfg)
 
 
-def enumerate_solutions(inst: Instance, cfg: SolverConfig) -> list[Solution]:
-    """The complete, canonically ordered list of satisfying multisets."""
-    if not cfg.enumerate_all:
-        raise ValueError("enumerate_solutions requires enumerate_all=True")
+def enumerate_solutions(inst: Instance,
+                        cfg: SolverConfig = SolverConfig()) -> list[Solution]:
+    """The complete, canonically ordered list of satisfying multisets.
+
+    Raises BudgetExceeded when node_limit is hit before the list is complete.
+    """
     if cfg.mode == "exhaustive":
         found = _exhaustive(inst, cfg, want_all=True)
     else:
-        found = _BnB(inst, cfg, want_all=True).run()
+        found = _BnB(inst, cfg).run()
     uniq = sorted(set(found), key=Solution.sort_key)
+    if not all(check_solution(inst, sol) for sol in uniq):
+        raise RuntimeError("enumerated multiset does not satisfy the instance")
     return uniq
 
 

@@ -152,6 +152,15 @@ def test_tau_decision_budget():
     assert b.lower_bound >= 1
 
 
+def test_tau_decision_budget_counts_analysed_conflicts():
+    # deciding tau(6) <= 4 takes 6 conflicts: a budget of 6 is enough
+    assert tau_decision(6, 4).nodes == 6
+    assert tau_decision(6, 4, node_limit=6).answer is True
+    d = tau_decision(6, 4, node_limit=5)
+    assert d.answer is None and d.nodes == 5
+    assert tau_decision(6, 4, node_limit=0).nodes == 0
+
+
 def test_tau_decision_rejects_bad_input():
     with pytest.raises(ValueError):
         tau_decision(2, 1)

@@ -193,6 +193,16 @@ def test_triplet_digraph():
     assert not is_acyclic(d2)
 
 
+def test_caterpillar_compatible_checks_its_witness(monkeypatch):
+    import triord.phylo as phylo
+    # built from the reversed leaf order, the caterpillar's cherry holds
+    # the witness 2, so it does not display 01|2
+    monkeypatch.setattr(phylo, "caterpillar_of",
+                        lambda seq: caterpillar_of(seq[::-1]))
+    with pytest.raises(RuntimeError):
+        caterpillar_compatible([triplet(0, 1, 2)])
+
+
 def test_caterpillar_compatible_equivalences():
     cats4 = enumerate_caterpillars(range(4))
     for ts in all_triplet_sets(range(4), 3):

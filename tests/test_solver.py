@@ -14,11 +14,13 @@ from triord.solver import (
     BudgetExceeded, Solution, SolverConfig, check_solution,
     enumerate_solutions, solve, trivial_pair_solution,
 )
+from triord.gadgets import builtin_gadget, gadget_instance
+from triord.solver import _BnB
 
 BNB = SolverConfig(mode="branch_and_bound")
 EXH = SolverConfig(mode="exhaustive")
-BNB_ALL = SolverConfig(mode="branch_and_bound", enumerate_all=True)
-EXH_ALL = SolverConfig(mode="exhaustive", enumerate_all=True)
+BNB_ALL = SolverConfig(mode="branch_and_bound")
+EXH_ALL = SolverConfig(mode="exhaustive")
 
 
 def test_check_solution_examples():
@@ -108,7 +110,7 @@ def test_monotone_in_k():
 
 def test_node_limit():
     inst = make_instance(0, 2, range(6), [])
-    cfg = SolverConfig(mode="branch_and_bound", enumerate_all=True, node_limit=50)
+    cfg = SolverConfig(mode="branch_and_bound", node_limit=50)
     with pytest.raises(BudgetExceeded):
         enumerate_solutions(inst, cfg)
 
@@ -116,8 +118,6 @@ def test_node_limit():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mode="magic")
-    with pytest.raises(ValueError):
-        SolverConfig(enumerate_all=True, symmetry_breaking=True)
 
 
 def test_trivial_families_always_satisfiable():
@@ -130,3 +130,33 @@ def test_trivial_families_always_satisfiable():
             alpha = ordering(*rng.sample(range(m), m))
             assert check_solution(inst, trivial_pair_solution(inst, alpha))
             assert solve(inst, BNB) is not None
+
+
+@pytest.mark.parametrize("name, nodes, count", [("pi5", 582, 4),
+                                                ("pi6", 83, 1)])
+def test_enumerator_nodes_on_gadgets(name, nodes, count):
+    gens, fam, k, _ = builtin_gadget(name)
+    inst = gadget_instance(list(gens), fam, k)
+    search = _BnB(inst, BNB_ALL)
+    assert len(set(search.run())) == count
+    assert search.nodes == nodes
+
+
+def test_enumeration_ignores_symmetry_breaking():
+    rng = random.Random(17)
+    sym = SolverConfig(mode="branch_and_bound", symmetry_breaking=True)
+    for inst in _random_instances(rng, 40, [5, 9]):
+        assert enumerate_solutions(inst, sym) == \
+            enumerate_solutions(inst, BNB_ALL), inst
+
+
+def test_solve_trivial_family_gives_reversal_pair():
+    inst = make_instance(7, 2, range(1, 6),
+                         [(1, 2, 3), (3, 2, 1), (4, 5, 1), (2, 5, 4)])
+    sol = solve(inst, BNB)
+    a, b = sol.orderings
+    assert b == reversal(a) and check_solution(inst, sol)
+    # the exhaustive oracle takes no shortcut: it scans, so a budget of
+    # one node runs out
+    with pytest.raises(BudgetExceeded):
+        solve(inst, SolverConfig(mode="exhaustive", node_limit=1))
