@@ -20,13 +20,13 @@ import time
 
 from .extremal import export_lp_model, tau, tau_decision
 from .gadgets import (
-    NO_SYMMETRY, builtin_gadget, derive_caterpillar_triple,
-    verify_tree_uniqueness, verify_uniqueness,
+    NO_SYMMETRY, TREE_GADGET, builtin_gadget, verify_tree_uniqueness,
+    verify_uniqueness,
 )
 from .orderings import format_instance, parse_instance
 from .phylo import (
-    format_triplets, k_tree_compatible, parse_dot, parse_triplets, to_dot,
-    to_newick, two_dicolorable,
+    caterpillar_of, format_triplets, k_tree_compatible, parse_dot,
+    parse_triplets, to_dot, to_newick, two_dicolorable,
 )
 from .reductions import REDUCTIONS
 from .solver import BudgetExceeded, SolverConfig, enumerate_solutions, solve
@@ -168,11 +168,11 @@ def _cmd_reduce(args, t0) -> int:
 
 def _cmd_gadget_verify(args, t0) -> int:
     if args.name == "tree-triple":
-        triple, orderings = derive_caterpillar_triple()
+        triple = tuple(map(caterpillar_of, TREE_GADGET))
         report = verify_tree_uniqueness(triple)
         payload = report.to_dict()
         payload["trees"] = [to_newick(t) for t in triple]
-        payload["orderings"] = [list(o.seq) for o in orderings]
+        payload["orderings"] = [list(o.seq) for o in TREE_GADGET]
     else:
         try:
             gens, fam, k, sym = builtin_gadget(args.name)

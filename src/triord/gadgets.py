@@ -6,11 +6,13 @@ the full solution set and compares it against the generators modulo a
 declared symmetry (per-order reversal for the reversal-closed families,
 first-two swap for the cherry symmetry, or none).
 
-The tree gadget is a triple of 6-leaf caterpillars whose combined displayed
-triplet set admits no other covering triple among all 945^3 triples of
-rooted binary trees on {0..5}.  `derive_caterpillar_triple` reconstructs it
-by complete search; structural facts (root children 5/1/0, cherries
-{0,1}/{0,5}) narrow the candidate space and are re-checked on the result.
+The tree gadget `TREE_GADGET` is a triple of 6-leaf caterpillars, stored
+as their deepest-first leaf orders, whose combined displayed triplet set
+admits no other covering triple among all 945^3 triples of rooted binary
+trees on {0..5}; `verify_tree_uniqueness` checks that claim.
+`derive_caterpillar_triple` re-finds the triple by complete search;
+structural facts (root children 5/1/0, cherries {0,1}/{0,5}) narrow the
+candidate space and are re-checked on the result.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ PI5_GADGET = (LinearOrdering((1, 2, 3, 4, 5)), LinearOrdering((5, 2, 3, 4, 1)))
 PI6_GADGET = (LinearOrdering((1, 2, 3, 4)), LinearOrdering((2, 4, 1, 3)))
 PI9_GADGET = (LinearOrdering((1, 2, 3, 4, 5, 6, 7)),
               LinearOrdering((2, 5, 7, 3, 1, 6, 4)))
+# The caterpillar triple of the tree-compatibility constructions, as
+# deepest-first leaf orders (`caterpillar_of` turns each into its tree).
+TREE_GADGET = (LinearOrdering((0, 1, 2, 3, 4, 5)),
+               LinearOrdering((0, 5, 2, 4, 3, 1)),
+               LinearOrdering((1, 5, 3, 4, 2, 0)))
 
 
 def builtin_gadget(name: str):
@@ -157,19 +164,16 @@ def builtin_gadget(name: str):
 _GADGET_LEAVES = tuple(range(6))
 
 
-def _triplet_index():
+def _tree_masks():
+    """All rooted binary trees on {0..5}, the bitmask of each one's
+    displayed triplets, and each tree's index in that list."""
     idx = {}
     for a, b, c in combinations(_GADGET_LEAVES, 3):
         for r in (triplet(a, b, c), triplet(a, c, b), triplet(b, c, a)):
             idx[r] = len(idx)
-    return idx
-
-
-def _tree_mask(t: RootedTree, idx) -> int:
-    m = 0
-    for r in displayed_triplets(t):
-        m |= 1 << idx[r]
-    return m
+    trees = enumerate_trees(_GADGET_LEAVES)
+    tmasks = [sum(1 << idx[r] for r in displayed_triplets(t)) for t in trees]
+    return trees, tmasks, {t: i for i, t in enumerate(trees)}
 
 
 def _cat_topdown(seq) -> RootedTree:
@@ -214,10 +218,7 @@ def verify_tree_uniqueness(triple: tuple[RootedTree, RootedTree, RootedTree]
     degenerate inputs the union is too small for that to hold)."""
     if any(t.leaves != frozenset(_GADGET_LEAVES) for t in triple):
         raise ValueError("gadget trees must have leaves {0..5}")
-    idx = _triplet_index()
-    trees = enumerate_trees(_GADGET_LEAVES)
-    tmasks = [_tree_mask(t, idx) for t in trees]
-    tree_index = {t: i for i, t in enumerate(trees)}
+    trees, tmasks, tree_index = _tree_masks()
     cover = 0
     for t in triple:
         cover |= tmasks[tree_index[t]]
@@ -251,10 +252,7 @@ def derive_caterpillar_triple() -> tuple[tuple[RootedTree, RootedTree, RootedTre
     lexicographically first qualifying triple and the three corresponding
     orderings.
     """
-    idx = _triplet_index()
-    trees = enumerate_trees(_GADGET_LEAVES)
-    tmasks = [_tree_mask(t, idx) for t in trees]
-    tree_index = {t: i for i, t in enumerate(trees)}
+    trees, tmasks, tree_index = _tree_masks()
 
     c1s = [_cat_topdown((5,) + p + (0, 1)) for p in permutations((2, 3, 4))]
     c2s = [_cat_topdown((1,) + p + (0, 5)) for p in permutations((2, 3, 4))]

@@ -663,25 +663,12 @@ def k_tree_compatible(triplets: Iterable[Triplet], k: int,
 def two_dicolorable(d: Digraph) -> Optional[dict]:
     """A 2-coloring whose color classes induce acyclic subgraphs, or None."""
     verts = sorted(d.vertices, key=var_key)
-    succ = {v: sorted(d.successors(v), key=var_key) for v in verts}
     color: dict = {}
 
     def class_acyclic(cls) -> bool:
         members = {v for v, c in color.items() if c == cls}
-        state: dict = {}
-
-        def dfs(u) -> bool:
-            state[u] = 1
-            for w in succ[u]:
-                if w in members:
-                    if state.get(w) == 1:
-                        return False
-                    if w not in state and not dfs(w):
-                        return False
-            state[u] = 2
-            return True
-
-        return all(dfs(v) for v in members if v not in state)
+        return is_acyclic(Digraph(members, {(u, w) for u, w in d.arcs
+                                            if u in members and w in members}))
 
     def rec(i) -> bool:
         if i == len(verts):

@@ -15,14 +15,16 @@ from dataclasses import dataclass
 from math import ceil, log2
 from typing import Callable, Optional
 
-from .gadgets import PI5_GADGET, PI6_GADGET, gadget_instance
+from .gadgets import (
+    PI5_GADGET, PI6_GADGET, TREE_GADGET, gadget_instance, gadget_triplet_union,
+)
 from .orderings import (
     Instance, LinearOrdering, concat, implied_constraints, make_instance,
     ordering, pi_family, restrict, reversal, satisfies, var_key,
 )
 from .phylo import (
     Digraph, RootedTree, _shape_leaves, caterpillar_of, cherries, displays,
-    is_caterpillar, restrict_tree, triplet,
+    is_caterpillar, ordering_of, restrict_tree, triplet,
 )
 from .solver import Solution
 
@@ -65,8 +67,8 @@ def lift_1pi5_to_2pi0_forward(sol: Solution) -> Solution:
     return Solution((alpha, reversal(alpha)))
 
 
-def lift_1pi5_to_2pi0_backward(sol: Solution) -> Solution:
-    # both target orders satisfy every source constraint; keep the first
+def lift_first_order_backward(source: Instance, sol: Solution) -> Solution:
+    """Backward lift of 1pi5_to_2pi0 and 1pi9_to_2pi4: the first order."""
     return Solution((sol.orderings[0],))
 
 
@@ -123,10 +125,6 @@ def reduce_1pi9_to_2pi4(inst: Instance) -> Instance:
 def lift_1pi9_to_2pi4_forward(sol: Solution) -> Solution:
     (alpha,) = sol.orderings
     return Solution((alpha, reversal(alpha)))
-
-
-def lift_1pi9_to_2pi4_backward(sol: Solution) -> Solution:
-    return Solution((sol.orderings[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +185,9 @@ def lift_1pi5_to_2pi5_forward(source: Instance, sol: Solution) -> Solution:
     return Solution((alpha2, beta2))
 
 
-def lift_1pi5_to_2pi5_backward(source: Instance, sol: Solution) -> Solution:
+def lift_restrict_backward(source: Instance, sol: Solution) -> Solution:
+    """Backward lift of 1pi5_to_2pi5 and 1pi5_to_2pi9: the first target
+    order whose restriction to the source variables solves the source."""
     for o in sol.orderings:
         cand = restrict(o, source.vars)
         if all(satisfies(source.pi, cand, c) for c in source.constraints):
@@ -302,25 +302,8 @@ def lift_1pi5_to_2pi9_forward(source: Instance, sol: Solution) -> Solution:
                      LinearOrdering(tuple(b_seq))))
 
 
-def lift_1pi5_to_2pi9_backward(source: Instance, sol: Solution) -> Solution:
-    for o in sol.orderings:
-        cand = restrict(o, source.vars)
-        if all(satisfies(source.pi, cand, c) for c in source.constraints):
-            return Solution((cand,))
-    raise ValueError("no member of the target solution restricts to a "
-                     "source solution")
-
-
 # ---------------------------------------------------------------------------
 # Two caterpillars -> three caterpillars / three trees
-
-_GADGET_LABELS = frozenset(range(6))
-
-
-def _tree_gadget():
-    from .gadgets import derive_caterpillar_triple
-    return derive_caterpillar_triple()
-
 
 def _fresh_taxa(triplets, prefix: str) -> dict:
     out = {}
@@ -331,7 +314,7 @@ def _fresh_taxa(triplets, prefix: str) -> dict:
 
 def _check_labels(triplets) -> None:
     labels = {x for r in triplets for x in r}
-    if labels & _GADGET_LABELS:
+    if labels & TREE_GADGET[0].domain():
         raise ValueError("source labels collide with the reserved gadget "
                          "labels 0..5")
     if any(str(x).startswith("g:") for x in labels):
@@ -359,9 +342,7 @@ def reduce_2cat_to_3cat(triplets) -> frozenset:
     """Gadget triplets plus the anchoring sets R1..R5, one fresh ab-taxon
     per source triplet."""
     _check_labels(triplets)
-    from .gadgets import gadget_triplet_union
-    triple, _ = _tree_gadget()
-    out = set(gadget_triplet_union(triple))
+    out = set(gadget_triplet_union(map(caterpillar_of, TREE_GADGET)))
     out |= _shared_r_sets(triplets, _fresh_taxa(triplets, "3cat"))
     return frozenset(out)
 
@@ -370,10 +351,8 @@ def reduce_2cat_to_3tree(triplets) -> frozenset:
     """As the three-caterpillar reduction, with the stronger root/cherry
     pinning sets needed when the targets may be arbitrary trees."""
     _check_labels(triplets)
-    from .gadgets import gadget_triplet_union
-    triple, _ = _tree_gadget()
     ab = _fresh_taxa(triplets, "3tree")
-    out = set(gadget_triplet_union(triple))
+    out = set(gadget_triplet_union(map(caterpillar_of, TREE_GADGET)))
     out |= _shared_r_sets(triplets, ab)
     for r in sorted(triplets):
         a, b, c = r
@@ -388,7 +367,6 @@ def reduce_2cat_to_3tree(triplets) -> frozenset:
 
 def _cat_seq_topdown(t: RootedTree) -> list:
     """Top-down spine listing of a caterpillar (cherry pair last, sorted)."""
-    from .phylo import ordering_of
     return list(reversed(ordering_of(t).seq))
 
 
@@ -448,7 +426,7 @@ def flatten_to_caterpillar(t: RootedTree) -> RootedTree:
     first (they attach above), then its anchor leaf, matching the spine- and
     leg-subtree reattachment rules.
     """
-    base = t.leaves & _GADGET_LABELS
+    base = t.leaves & TREE_GADGET[0].domain()
     if len(base) < 3:
         raise ValueError("need at least three anchor labels 0..5")
     base_tree = restrict_tree(t, base)
@@ -584,23 +562,23 @@ REDUCTIONS = {r.name: r for r in (
     Reduction("1pi5_to_2pi0", _ordering_problem(5, 1), _ordering_problem(0, 2),
               reduce_1pi5_to_2pi0,
               lambda src, sol: lift_1pi5_to_2pi0_forward(sol),
-              lambda src, sol: lift_1pi5_to_2pi0_backward(sol)),
+              lift_first_order_backward),
     Reduction("2pi0_to_2pi1", _ordering_problem(0, 2), _ordering_problem(1, 2),
               reduce_2pi0_to_2pi1,
               lift_2pi0_to_2pi1_forward, lift_2pi0_to_2pi1_backward),
     Reduction("1pi9_to_2pi4", _ordering_problem(9, 1), _ordering_problem(4, 2),
               reduce_1pi9_to_2pi4,
               lambda src, sol: lift_1pi9_to_2pi4_forward(sol),
-              lambda src, sol: lift_1pi9_to_2pi4_backward(sol)),
+              lift_first_order_backward),
     Reduction("1pi5_to_2pi5", _ordering_problem(5, 1), _ordering_problem(5, 2),
               reduce_1pi5_to_2pi5,
-              lift_1pi5_to_2pi5_forward, lift_1pi5_to_2pi5_backward),
+              lift_1pi5_to_2pi5_forward, lift_restrict_backward),
     Reduction("2pi1_to_2pi6", _ordering_problem(1, 2), _ordering_problem(6, 2),
               reduce_2pi1_to_2pi6,
               lift_2pi1_to_2pi6_forward, lift_2pi1_to_2pi6_backward),
     Reduction("1pi5_to_2pi9", _ordering_problem(5, 1), _ordering_problem(9, 2),
               reduce_1pi5_to_2pi9,
-              lift_1pi5_to_2pi9_forward, lift_1pi5_to_2pi9_backward),
+              lift_1pi5_to_2pi9_forward, lift_restrict_backward),
     Reduction("2cat_to_3cat", ("caterpillar", 2), ("caterpillar", 3),
               reduce_2cat_to_3cat,
               lambda src, cats: lift_2cat_forward(src, cats, "3cat"),

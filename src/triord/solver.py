@@ -36,9 +36,6 @@ class BudgetExceeded(Exception):
 @dataclass(frozen=True)
 class SolverConfig:
     mode: str = "branch_and_bound"  # or "exhaustive"
-    # decision only: fix the order of the two smallest variables in
-    # ordering 0 for reversal-closed families; enumeration ignores it
-    symmetry_breaking: bool = False
     # CDCL conflicts for solve() by default, search nodes otherwise
     node_limit: Optional[int] = None
 
@@ -86,10 +83,6 @@ def check_solution(inst: Instance, sol: Solution) -> bool:
         any(satisfies(inst.pi, o, c) for o in sol.orderings)
         for c in inst.constraints
     )
-
-
-def _reversal_closed(pi) -> bool:
-    return {p[::-1] for p in pi.perms} == set(pi.perms)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +266,6 @@ def _cnf_decide(inst: Instance, cfg: SolverConfig) -> Optional[Solution]:
                 sat.add_clause([-selector(ci, t), -before(u, v, t),
                                 -before(v, w, t)])
         sat.add_clause([selector(ci, t) for t in range(k)])
-    if cfg.symmetry_breaking and _reversal_closed(inst.pi) and n >= 2:
-        sat.add_clause([before(0, 1, 0)])
 
     res = sat.solve(conflict_limit=cfg.node_limit)
     if res is None:

@@ -1,13 +1,16 @@
 """Tree/triplet tests: display semantics, BUILD against the enumeration
 oracle, the caterpillar/digraph equivalence, and serialization."""
 
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb
 import random
 
 import pytest
 
-from triord.orderings import ordering, pi_family, reversal, satisfies
+from triord.orderings import (
+    make_instance, ordering, pi_family, reversal, satisfies,
+)
 from triord.phylo import (
     Digraph, RootedTree, aho_build, caterpillar_compatible, caterpillar_of,
     cherries, displayed_triplets, displays, enumerate_caterpillars,
@@ -16,6 +19,7 @@ from triord.phylo import (
     parse_triplets, restrict_tree, to_dot, to_newick, triplet,
     triplet_digraph, two_dicolorable,
 )
+from triord.solver import solve
 
 
 def all_triplet_sets(labels, max_size):
@@ -140,6 +144,29 @@ def test_pi1_caterpillar_correspondence():
             for a, b, c in permutations(range(n), 3):
                 assert satisfies(pi1, alpha, (a, b, c)) == \
                     displays(cat, triplet(b, c, a))
+
+
+def test_pi1_k_caterpillar_correspondence():
+    # k caterpillars display a triplet set iff the Pi1 instance with one
+    # constraint (c, a, b) per triplet ab|c has k orders, and the reversal
+    # of each order is a caterpillar of such a cover
+    rng = random.Random(5)
+    compatible = Counter()
+    for _ in range(300):
+        labels = range(rng.randint(3, 5))
+        pool = [triplet(a, b, c)
+                for a, b, c in permutations(labels, 3) if a < b]
+        r = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+        for k in (1, 2, 3):
+            cats = k_tree_compatible(r, k, caterpillars_only=True)
+            sol = solve(make_instance(1, k, labels,
+                                      [(c, a, b) for a, b, c in r]))
+            assert (cats is None) == (sol is None), (r, k)
+            compatible[cats is not None] += 1
+            if sol is not None:
+                cover = [caterpillar_of(o.seq[::-1]) for o in sol.orderings]
+                assert all(any(displays(t, x) for t in cover) for x in r)
+    assert min(compatible.values()) > 100, compatible
 
 
 def test_enumerate_trees_counts():

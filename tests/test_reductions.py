@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from triord import gadgets
 from triord.orderings import (
     Instance, LinearOrdering, implied_constraints, make_instance, ordering,
     pi_family, restrict, satisfies,
@@ -231,6 +232,23 @@ def test_2cat_reductions_preserve_decision_one_triplet():
     assert k_tree_compatible(src, 2, caterpillars_only=True) is not None
     out = reduce_2cat_to_3cat(src)
     assert k_tree_compatible(out, 3, caterpillars_only=True) is not None
+
+
+def test_2cat_reductions_read_the_gadget_constant(monkeypatch):
+    triple, orderings = gadgets.derive_caterpillar_triple()
+    assert gadgets.TREE_GADGET == orderings
+    assert tuple(map(caterpillar_of, gadgets.TREE_GADGET)) == triple
+    union = gadgets.gadget_triplet_union(triple)
+    assert len(union) == 57
+
+    def rederive():
+        raise RuntimeError("the gadget triple is a constant")
+
+    monkeypatch.setattr(gadgets, "derive_caterpillar_triple", rederive)
+    src = _source_triplets()
+    for reduce in (reduce_2cat_to_3cat, reduce_2cat_to_3tree):
+        out = reduce(src)
+        assert {r for r in out if set(r) <= set(range(6))} == union
 
 
 # ---------------------------------------------------------------------------

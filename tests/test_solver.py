@@ -88,17 +88,6 @@ def test_bnb_matches_exhaustive_on_random_instances():
             assert check_solution(inst, sol)
 
 
-def test_symmetry_breaking_preserves_decision():
-    rng = random.Random(13)
-    sym = SolverConfig(mode="branch_and_bound", symmetry_breaking=True)
-    for inst in _random_instances(rng, 60, [5, 9]):
-        base = solve(inst, BNB)
-        fast = solve(inst, sym)
-        assert (base is None) == (fast is None), inst
-        if fast is not None:
-            assert check_solution(inst, fast)
-
-
 def test_monotone_in_k():
     rng = random.Random(99)
     for inst in _random_instances(rng, 40, list(range(11)), max_k=1):
@@ -140,14 +129,6 @@ def test_enumerator_nodes_on_gadgets(name, nodes, count):
     search = _BnB(inst, BNB_ALL)
     assert len(set(search.run())) == count
     assert search.nodes == nodes
-
-
-def test_enumeration_ignores_symmetry_breaking():
-    rng = random.Random(17)
-    sym = SolverConfig(mode="branch_and_bound", symmetry_breaking=True)
-    for inst in _random_instances(rng, 40, [5, 9]):
-        assert enumerate_solutions(inst, sym) == \
-            enumerate_solutions(inst, BNB_ALL), inst
 
 
 def test_solve_trivial_family_gives_reversal_pair():
