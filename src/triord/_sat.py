@@ -6,6 +6,15 @@ two-watched-literal propagation, first-UIP clause learning, activity
 driven decisions with phase saving, and geometric restarts — tuned for
 the mid-sized structured formulas produced elsewhere in this package,
 not for competition inputs.
+
+The per-literal tables are indexed by the literal itself, as in MiniSat
+(Eén & Sörensson, "An Extensible SAT-solver", SAT 2003).  ``lval`` and
+``watches`` have 2n + 1 entries for n variables: ``lval[v]`` is at index
+v and ``lval[-v]`` wraps to index 2n + 1 - v, so either polarity is one
+list index and no literal is encoded.  ``lval[lit]`` is +1 when ``lit``
+is true, -1 when false and 0 when free; an assignment writes both
+polarities.  Watch lists and ``reason`` hold the clause lists
+themselves, and a decision's reason is None.
 """
 
 from __future__ import annotations
@@ -19,120 +28,115 @@ _RESCALE = 1e100
 
 class Solver:
     def __init__(self, nvars: int = 0):
-        self.nvars = 0
+        self.nvars = nvars
         self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = []  # indexed by _enc(lit)
-        self.value: list[int] = [0]  # per var: 0 free, +1 true, -1 false
-        self.level: list[int] = [0]
-        self.reason: list[int] = [-1]  # clause index, -1 for decisions
-        self.activity: list[float] = [0.0]
-        self.phase: list[int] = [-1]
+        self.lval: list[int] = [0] * (2 * nvars + 1)
+        self.watches: list[list[list[int]]] = [
+            [] for _ in range(2 * nvars + 1)]
+        self.level: list[int] = [0] * (nvars + 1)
+        self.reason: list[Optional[list[int]]] = [None] * (nvars + 1)
+        self.activity: list[float] = [0.0] * (nvars + 1)
+        self.phase: list[int] = [-1] * (nvars + 1)
         self.trail: list[int] = []
         self.lim: list[int] = []  # trail length at each decision level
         self.qhead = 0
         self.inc = 1.0
-        self.heap: list[tuple[float, int]] = []
+        self.heap: list[tuple[float, int]] = [
+            (0.0, v) for v in range(1, nvars + 1)]  # already a heap
         self.ok = True
         self.n_learnt = 0
         self.conflicts = 0  # over every solve() call
         self._model: list[bool] = []
-        if nvars:
-            self.add_vars(nvars)
 
     # -- construction -----------------------------------------------------
 
-    def add_vars(self, count: int) -> None:
-        for _ in range(count):
-            self.nvars += 1
-            self.value.append(0)
-            self.level.append(0)
-            self.reason.append(-1)
-            self.activity.append(0.0)
-            self.phase.append(-1)
-            self.watches.append([])
-            self.watches.append([])
-            heappush(self.heap, (0.0, self.nvars))
-
-    @staticmethod
-    def _enc(lit: int) -> int:
-        return 2 * lit - 2 if lit > 0 else -2 * lit - 1
-
-    def _lit_value(self, lit: int) -> int:
-        v = self.value[abs(lit)]
-        return v if lit > 0 else -v
-
     def add_clause(self, lits) -> None:
-        """Add a clause; may immediately make the formula unsatisfiable."""
+        """Add a clause over variables 1..nvars; may immediately make the
+        formula unsatisfiable.  ``lits`` is copied, never kept."""
         if not self.ok:
             return
-        seen = set()
+        lval = self.lval
+        n = self.nvars
         out = []
         for lit in lits:
-            if -lit in seen or self._lit_value(lit) > 0:
+            if not 0 < abs(lit) <= n:
+                raise ValueError(f"literal {lit} outside variables 1..{n}")
+            val = lval[lit]
+            if val > 0 or -lit in out:
                 return  # tautological or already satisfied at root level
-            if lit not in seen and self._lit_value(lit) == 0:
-                seen.add(lit)
+            if not val and lit not in out:
                 out.append(lit)
         if not out:
             self.ok = False
         elif len(out) == 1:
-            self.ok = self._enqueue(out[0], -1) and self._propagate() == -1
+            self.ok = self._enqueue(out[0], None) and self._propagate() is None
         else:
             self._attach(out)
 
-    def _attach(self, lits: list[int]) -> int:
-        idx = len(self.clauses)
+    def _attach(self, lits: list[int]) -> list[int]:
         self.clauses.append(lits)
-        self.watches[self._enc(lits[0])].append(idx)
-        self.watches[self._enc(lits[1])].append(idx)
-        return idx
+        self.watches[lits[0]].append(lits)
+        self.watches[lits[1]].append(lits)
+        return lits
 
     # -- assignment and propagation ---------------------------------------
 
-    def _enqueue(self, lit: int, reason: int) -> bool:
-        val = self._lit_value(lit)
+    def _enqueue(self, lit: int, reason: Optional[list[int]]) -> bool:
+        val = self.lval[lit]
         if val:
             return val > 0
-        v = abs(lit)
-        self.value[v] = 1 if lit > 0 else -1
+        self.lval[lit] = 1
+        self.lval[-lit] = -1
+        v = lit if lit > 0 else -lit
         self.level[v] = len(self.lim)
         self.reason[v] = reason
         self.phase[v] = 1 if lit > 0 else -1
         self.trail.append(lit)
         return True
 
-    def _propagate(self) -> int:
-        """Exhaust unit propagation; return a conflict clause index or -1."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            watch = self.watches[self._enc(-p)]
+    def _propagate(self) -> Optional[list[int]]:
+        """Exhaust unit propagation; return a conflict clause or None."""
+        trail, lval, watches = self.trail, self.lval, self.watches
+        level, reason, phase = self.level, self.reason, self.phase
+        lvl = len(self.lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watch = watches[false_lit]
             kept = []
-            w = 0
-            try:
-                while w < len(watch):
-                    ci = watch[w]
-                    w += 1
-                    lits = self.clauses[ci]
-                    if lits[0] == -p:
-                        lits[0], lits[1] = lits[1], lits[0]
-                    first = lits[0]
-                    if self._lit_value(first) > 0:
-                        kept.append(ci)
-                        continue
-                    for j in range(2, len(lits)):
-                        if self._lit_value(lits[j]) >= 0:
-                            lits[1], lits[j] = lits[j], lits[1]
-                            self.watches[self._enc(lits[1])].append(ci)
-                            break
-                    else:
-                        kept.append(ci)
-                        if not self._enqueue(first, ci):
-                            self.qhead = len(self.trail)
-                            return ci
-            finally:
-                watch[:] = kept + watch[w:]
-        return -1
+            for w, lits in enumerate(watch):
+                # keep the false watch at lits[1]
+                first = lits[0]
+                if first == false_lit:
+                    first = lits[0] = lits[1]
+                    lits[1] = false_lit
+                if lval[first] > 0:
+                    kept.append(lits)
+                    continue
+                for j in range(2, len(lits)):
+                    lit = lits[j]
+                    if lval[lit] >= 0:
+                        lits[1] = lit
+                        lits[j] = false_lit
+                        watches[lit].append(lits)
+                        break
+                else:
+                    kept.append(lits)
+                    if lval[first]:  # false: every literal is false
+                        self.qhead = len(trail)
+                        watch[:] = kept + watch[w + 1:]
+                        return lits
+                    lval[first] = 1
+                    lval[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = lvl
+                    reason[v] = lits
+                    phase[v] = 1 if first > 0 else -1
+                    trail.append(first)
+            watch[:] = kept
+        self.qhead = qhead
+        return None
 
     # -- conflict analysis -------------------------------------------------
 
@@ -144,52 +148,54 @@ class Solver:
             self.inc /= _RESCALE
         heappush(self.heap, (-self.activity[v], v))
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         seen = [False] * (self.nvars + 1)
+        level, reason, trail = self.level, self.reason, self.trail
         learnt = [0]  # slot for the asserting literal
         cur_level = len(self.lim)
         counter = 0
         p = 0
-        idx = len(self.trail)
+        idx = len(trail)
         while True:
-            for q in self.clauses[confl]:
+            for q in confl:
                 if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     self._bump(v)
-                    if self.level[v] == cur_level:
+                    if level[v] == cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
             while True:
                 idx -= 1
-                p = self.trail[idx]
+                p = trail[idx]
                 if seen[abs(p)]:
                     break
             seen[abs(p)] = False
             counter -= 1
             if counter == 0:
                 break
-            confl = self.reason[abs(p)]
+            confl = reason[abs(p)]
         learnt[0] = -p
         back = 0
         if len(learnt) > 1:
             j = max(range(1, len(learnt)),
-                    key=lambda i: self.level[abs(learnt[i])])
+                    key=lambda i: level[abs(learnt[i])])
             learnt[1], learnt[j] = learnt[j], learnt[1]
-            back = self.level[abs(learnt[1])]
+            back = level[abs(learnt[1])]
         return learnt, back
 
     def _backtrack(self, target: int) -> None:
         if target >= len(self.lim):
             return
         keep = self.lim[target]
+        lval, activity, heap = self.lval, self.activity, self.heap
         for lit in reversed(self.trail[keep:]):
-            v = abs(lit)
-            self.value[v] = 0
-            heappush(self.heap, (-self.activity[v], v))
+            lval[lit] = lval[-lit] = 0
+            v = lit if lit > 0 else -lit
+            heappush(heap, (-activity[v], v))
         del self.trail[keep:]
         del self.lim[target:]
         self.qhead = len(self.trail)
@@ -197,12 +203,13 @@ class Solver:
     # -- main loop ---------------------------------------------------------
 
     def _decide(self) -> int:
-        while self.heap:
-            act, v = heappop(self.heap)
-            if self.value[v] == 0 and -act == self.activity[v]:
+        lval, activity, heap = self.lval, self.activity, self.heap
+        while heap:
+            act, v = heappop(heap)
+            if lval[v] == 0 and -act == activity[v]:
                 return v * self.phase[v]
         for v in range(1, self.nvars + 1):  # heap entries can go stale
-            if self.value[v] == 0:
+            if lval[v] == 0:
                 return v * self.phase[v]
         return 0
 
@@ -214,14 +221,14 @@ class Solver:
         be added and solve() called again."""
         if not self.ok:
             return False
-        if self._propagate() != -1:
+        if self._propagate() is not None:
             self.ok = False
             return False
         conflicts = 0
         restart = 100
         while True:
             confl = self._propagate()
-            if confl != -1:
+            if confl is not None:
                 if not self.lim:
                     self.ok = False
                     return False
@@ -232,8 +239,10 @@ class Solver:
                 self.conflicts += 1
                 learnt, back = self._analyze(confl)
                 self._backtrack(back)
-                reason = -1 if len(learnt) == 1 else self._attach(learnt)
-                if len(learnt) > 1:
+                if len(learnt) == 1:
+                    reason = None
+                else:
+                    reason = self._attach(learnt)
                     self.n_learnt += 1
                 self._enqueue(learnt[0], reason)
                 self.inc *= _VAR_DECAY
@@ -243,11 +252,11 @@ class Solver:
             else:
                 lit = self._decide()
                 if lit == 0:
-                    self._model = [v > 0 for v in self.value]
+                    self._model = [x > 0 for x in self.lval[:self.nvars + 1]]
                     self._backtrack(0)
                     return True
                 self.lim.append(len(self.trail))
-                self._enqueue(lit, -1)
+                self._enqueue(lit, None)
 
     def model(self) -> list[bool]:
         """Truth value per variable from the last satisfiable solve(),

@@ -559,6 +559,14 @@ def four_leaf_closure(quad, caterpillar: bool = False) -> list:
                   for t in pat) for pat in pats]
 
 
+def _orient(tid: dict, a, c, w) -> int:
+    """The orientation variable row of the triplet with cherry {a, c} and
+    witness w: three rows per leaf triple, the triple numbered by ``tid``,
+    then 0, 1, 2 as w is the triple's last, middle or first leaf."""
+    key = tuple(sorted((a, c, w)))
+    return tid[key] * 3 + (0 if w == key[2] else (1 if w == key[1] else 2))
+
+
 def _k_tree_sat(triplets: list, k: int, caterpillars: bool = False,
                 conflict_limit: Optional[int] = None) -> tuple:
     """Whether k trees (caterpillars if flagged) jointly display the
@@ -575,11 +583,6 @@ def _k_tree_sat(triplets: list, k: int, caterpillars: bool = False,
     tri = list(combinations(range(len(labels)), 3))
     tid = {t: i for i, t in enumerate(tri)}
 
-    def orient(a, c, w):
-        # cherry {a, c}, witness w: orientation 0, 1, 2 of its leaf triple
-        key = tuple(sorted((a, c, w)))
-        return tid[key] * 3 + (0 if w == key[2] else (1 if w == key[1] else 2))
-
     # pos[i][b] is the variable of orientation i in tree slot b; the
     # clauses share these int objects instead of each holding its own
     pos = [list(range(1 + i * k, 1 + i * k + k)) for i in range(3 * len(tri))]
@@ -593,17 +596,25 @@ def _k_tree_sat(triplets: list, k: int, caterpillars: bool = False,
             sat.add_clause([n0[b], n1[b]])
             sat.add_clause([n0[b], n2[b]])
             sat.add_clause([n1[b], n2[b]])
+    # the closure on the quad (0, 1, 2, 3), each triplet as one of the
+    # quad's 12 orientation rows; every increasing quad maps onto it with
+    # the same orientations
+    quad_tid = {t: i for i, t in enumerate(combinations(range(4), 3))}
+    table = [tuple(None if t is None else _orient(quad_tid, *t) for t in pat)
+             for pat in four_leaf_closure((0, 1, 2, 3), caterpillars)]
+    add = sat.add_clause
     for quad in combinations(range(len(labels)), 4):
-        for p, q, r in four_leaf_closure(quad, caterpillars):
-            not_p, not_q = neg[orient(*p)], neg[orient(*q)]
+        rows = [3 * tid[t] + o
+                for t in combinations(quad, 3) for o in range(3)]
+        for p, q, r in table:
+            not_p, not_q = neg[rows[p]], neg[rows[q]]
             if r is None:
-                for b in range(k):
-                    sat.add_clause([not_p[b], not_q[b]])
+                for clause in zip(not_p, not_q):
+                    add(clause)
             else:
-                then_r = pos[orient(*r)]
-                for b in range(k):
-                    sat.add_clause([not_p[b], not_q[b], then_r[b]])
-    covers = [orient(*(lidx[x] for x in t)) for t in triplets]
+                for clause in zip(not_p, not_q, pos[rows[r]]):
+                    add(clause)
+    covers = [_orient(tid, *(lidx[x] for x in t)) for t in triplets]
     for i in covers:
         sat.add_clause(pos[i])
     sat.add_clause([pos[covers[0]][0]])  # WLOG the first slot covers it

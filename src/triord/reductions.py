@@ -12,6 +12,7 @@ reductions compose without capturing source names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, log2
 from typing import Callable, Optional
 
@@ -62,9 +63,16 @@ def reduce_1pi5_to_2pi0(inst: Instance) -> Instance:
     return make_instance(0, 2, inst.vars, cs)
 
 
-def lift_1pi5_to_2pi0_forward(sol: Solution) -> Solution:
+def lift_reversal_pair_forward(source: Instance, sol: Solution) -> Solution:
+    """Forward lift of 1pi5_to_2pi0 and 1pi9_to_2pi4: the one order and its
+    reversal."""
     (alpha,) = sol.orderings
     return Solution((alpha, reversal(alpha)))
+
+
+# the same lift without the unused source, under the reductions' names
+lift_1pi5_to_2pi0_forward = lift_1pi9_to_2pi4_forward = partial(
+    lift_reversal_pair_forward, None)
 
 
 def lift_first_order_backward(source: Instance, sol: Solution) -> Solution:
@@ -120,11 +128,6 @@ def reduce_1pi9_to_2pi4(inst: Instance) -> Instance:
     for v1, v2, v3 in _sorted_constraints(inst):
         cs += [(v2, v1, v3), (v2, v3, v1)]
     return make_instance(4, 2, inst.vars, cs)
-
-
-def lift_1pi9_to_2pi4_forward(sol: Solution) -> Solution:
-    (alpha,) = sol.orderings
-    return Solution((alpha, reversal(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +564,13 @@ def _ordering_problem(pi_index: int, k: int) -> tuple:
 REDUCTIONS = {r.name: r for r in (
     Reduction("1pi5_to_2pi0", _ordering_problem(5, 1), _ordering_problem(0, 2),
               reduce_1pi5_to_2pi0,
-              lambda src, sol: lift_1pi5_to_2pi0_forward(sol),
-              lift_first_order_backward),
+              lift_reversal_pair_forward, lift_first_order_backward),
     Reduction("2pi0_to_2pi1", _ordering_problem(0, 2), _ordering_problem(1, 2),
               reduce_2pi0_to_2pi1,
               lift_2pi0_to_2pi1_forward, lift_2pi0_to_2pi1_backward),
     Reduction("1pi9_to_2pi4", _ordering_problem(9, 1), _ordering_problem(4, 2),
               reduce_1pi9_to_2pi4,
-              lambda src, sol: lift_1pi9_to_2pi4_forward(sol),
-              lift_first_order_backward),
+              lift_reversal_pair_forward, lift_first_order_backward),
     Reduction("1pi5_to_2pi5", _ordering_problem(5, 1), _ordering_problem(5, 2),
               reduce_1pi5_to_2pi5,
               lift_1pi5_to_2pi5_forward, lift_restrict_backward),

@@ -8,16 +8,17 @@ import random
 
 import pytest
 
+from triord import phylo
 from triord.orderings import (
     make_instance, ordering, pi_family, reversal, satisfies,
 )
 from triord.phylo import (
     Digraph, RootedTree, aho_build, caterpillar_compatible, caterpillar_of,
     cherries, displayed_triplets, displays, enumerate_caterpillars,
-    enumerate_trees, format_triplets, is_acyclic, is_caterpillar, join,
-    k_tree_compatible, lca, leaf, ordering_of, parse_dot, parse_newick,
-    parse_triplets, restrict_tree, to_dot, to_newick, triplet,
-    triplet_digraph, two_dicolorable,
+    enumerate_trees, format_triplets, four_leaf_closure, is_acyclic,
+    is_caterpillar, join, k_tree_compatible, lca, leaf, ordering_of,
+    parse_dot, parse_newick, parse_triplets, restrict_tree, to_dot,
+    to_newick, triplet, triplet_digraph, two_dicolorable,
 )
 from triord.solver import solve
 
@@ -268,6 +269,56 @@ def test_k_tree_basics():
         for cats in (False, True):
             if k_tree_compatible(ts, 2, cats) is not None:
                 assert k_tree_compatible(ts, 3, cats) is not None
+
+
+def tree_cnf_by_closure(trips, n, k, caterpillars):
+    """The tree-cover CNF of triplets over labels 1..n, clause by clause:
+    for every leaf triple and slot, exactly one orientation; for every
+    quad, its four_leaf_closure instantiated per slot; then one cover
+    clause per triplet and the first slot's unit."""
+    tid = {t: i for i, t in enumerate(combinations(range(n), 3))}
+
+    def var(a, c, w, b):
+        x, y, z = sorted((a, c, w))
+        return 1 + (3 * tid[(x, y, z)] + {z: 0, y: 1, x: 2}[w]) * k + b
+
+    clauses = []
+    for x, y, z in tid:
+        for b in range(k):
+            v0, v1, v2 = var(x, y, z, b), var(x, z, y, b), var(y, z, x, b)
+            clauses += [[v0, v1, v2], [-v0, -v1], [-v0, -v2], [-v1, -v2]]
+    for quad in combinations(range(n), 4):
+        for p, q, r in four_leaf_closure(quad, caterpillars):
+            for b in range(k):
+                clauses.append([-var(*p, b), -var(*q, b)] +
+                               ([] if r is None else [var(*r, b)]))
+    covers = [[var(a - 1, c - 1, w - 1, b) for b in range(k)]
+              for a, c, w in trips]
+    return clauses + covers + [[covers[0][0]]]
+
+
+def test_tree_cnf_follows_the_closure_generator(monkeypatch):
+    log = []
+
+    class LoggedSolver(phylo.Solver):
+        def add_clause(self, lits):
+            log.append(list(lits))
+            super().add_clause(lits)
+
+    monkeypatch.setattr(phylo, "Solver", LoggedSolver)
+    rng = random.Random(17)
+    for n in (4, 5, 6):
+        pool = [triplet(a, b, c) for a, b, c in
+                permutations(range(1, n + 1), 3) if a < b]
+        while True:
+            trips = sorted(rng.sample(pool, 2 * n))
+            if len({x for t in trips for x in t}) == n:
+                break
+        for k in (1, 2, 3):
+            for caterpillars in (False, True):
+                log.clear()
+                phylo._k_tree_sat(trips, k, caterpillars)
+                assert log == tree_cnf_by_closure(trips, n, k, caterpillars)
 
 
 # ---------------------------------------------------------------------------
