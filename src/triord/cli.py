@@ -169,8 +169,7 @@ def _cmd_reduce(args, t0) -> int:
 def _cmd_gadget_verify(args, t0) -> int:
     if args.name == "tree-triple":
         triple = tuple(map(caterpillar_of, TREE_GADGET))
-        report = verify_tree_uniqueness(triple)
-        payload = report.to_dict()
+        payload = verify_tree_uniqueness(triple).to_dict()
         payload["trees"] = [to_newick(t) for t in triple]
         payload["orderings"] = [list(o.seq) for o in TREE_GADGET]
     else:
@@ -180,14 +179,17 @@ def _cmd_gadget_verify(args, t0) -> int:
             raise _CliError(str(e)) from None
         if args.no_symmetry:
             sym = NO_SYMMETRY
-        report = verify_uniqueness(list(gens), fam, k, sym,
-                                   node_limit=args.node_limit)
-        payload = report.to_dict()
+        try:
+            payload = verify_uniqueness(list(gens), fam, k, sym,
+                                        node_limit=args.node_limit).to_dict()
+        except BudgetExceeded:
+            payload = {"unique": None, "symmetry": sym.kind}
         payload["pi"] = fam.index
         payload["k"] = k
         payload["generators"] = [list(g.seq) for g in gens]
     _emit(args, payload, t0, _digest(args.name))
-    return EXIT_YES if report.unique else EXIT_NO
+    return {True: EXIT_YES, False: EXIT_NO,
+            None: EXIT_UNKNOWN}[payload["unique"]]
 
 
 def _cmd_tau(args, t0) -> int:
@@ -232,8 +234,11 @@ def _cmd_compat(args, t0) -> int:
         trips = parse_triplets(text)
     except ValueError as e:
         raise _CliError(f"{args.file}: {e}") from None
-    trees = k_tree_compatible(trips, args.k,
-                              caterpillars_only=args.caterpillar)
+    try:
+        trees = k_tree_compatible(trips, args.k,
+                                  caterpillars_only=args.caterpillar)
+    except ValueError as e:
+        raise _CliError(str(e)) from None
     _emit(args, {
         "k": args.k, "caterpillar": args.caterpillar,
         "triplets": len(trips),
@@ -278,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="branch_and_bound")
     p.add_argument("--node-limit", type=int, default=None,
                    help="give up (exit 2) after this many CDCL conflicts, "
-                   "or search nodes with --enumerate or --mode exhaustive")
+                   "summed over the enumeration with --enumerate; search "
+                   "nodes with --mode exhaustive")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="apply a registered reduction")
@@ -293,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-symmetry", action="store_true",
                    help="report raw solutions without quotienting")
     p.add_argument("--node-limit", type=int, default=None,
-                   help="give up after this many enumeration search nodes")
+                   help="give up (exit 2) after this many CDCL conflicts, "
+                   "summed over the enumeration")
     p.set_defaults(func=_cmd_gadget_verify)
 
     p = sub.add_parser("tau", help="exact covering number tau(n)")

@@ -2,19 +2,23 @@
 
 - ``solve`` decides: the always-satisfiable 2-order families (Pi2, Pi3,
   Pi7, Pi8, Pi10 with k >= 2) by the reversal pair {alpha, reverse alpha},
-  every other instance by CDCL over pairwise order relations.
-- ``enumerate_solutions`` lists every solution: it builds the k orderings
-  position by position, in turn; a constraint stays "alive" on an ordering
-  until its variables' placements rule out every pattern there, and a
-  branch is cut once some constraint is dead on all k orderings.
+  every other instance by one CDCL solve of the pair-order CNF
+  (``_PairOrderCnf``).
+- ``enumerate_solutions`` lists every solution by blocking-clause
+  enumeration over the same CNF (Toda & Soh, "Implementing efficient all
+  solutions SAT solvers", ACM JEA 2016): after each model it blocks every
+  slot arrangement of the found multiset and solves again, until the
+  formula is unsatisfiable.
 - ``mode="exhaustive"`` answers both questions by scanning all multisets of
   k full orderings (per-ordering constraint bitmasks, so the inner loop is
-  a word OR); it is the independent oracle for the two engines above.
+  a word OR); it is the independent oracle for the CDCL engine.
 
 Solutions are multisets of orderings (size exactly k, the reversal pair
 aside; "at most k" instances are covered because members may repeat), each
-checked against the instance before it is returned.  Enumeration output is
-canonical: each multiset sorted lexicographically, the list likewise.
+checked against the instance once, before it is returned.  Enumeration
+output is canonical: each multiset sorted lexicographically, the list
+likewise.  ``node_limit`` counts CDCL conflicts, summed over an
+enumeration's solves, and search nodes in exhaustive mode.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ class BudgetExceeded(Exception):
 @dataclass(frozen=True)
 class SolverConfig:
     mode: str = "branch_and_bound"  # or "exhaustive"
-    # CDCL conflicts for solve() by default, search nodes otherwise
+    # CDCL conflicts by default, search nodes in exhaustive mode
     node_limit: Optional[int] = None
 
     def __post_init__(self):
@@ -113,7 +117,8 @@ def _exhaustive(inst: Instance, cfg: SolverConfig, want_all: bool):
         nonlocal nodes
         if len(chosen) == inst.k:
             if acc == full:
-                found.append(Solution([perms[i] for i in chosen]))
+                found.append(_checked(
+                    inst, Solution([perms[i] for i in chosen])))
             return want_all or acc != full
         for i in range(start, n):
             nodes += 1
@@ -128,167 +133,100 @@ def _exhaustive(inst: Instance, cfg: SolverConfig, want_all: bool):
 
 
 # ---------------------------------------------------------------------------
-# Positional enumeration engine
+# CDCL engine over pairwise order relations
 
 
-def _chain_alive(chain, pos) -> bool:
-    """Whether one pattern chain can still match a partial ordering.
+class _PairOrderCnf:
+    """The CNF of an instance over "u precedes v in slot t" Booleans, and a
+    checked decoder of its models.
 
-    ``pos`` maps placed variables to positions.  Unplaced variables will land
-    strictly after every placed one, so a chain is still feasible iff its
-    placed members form a position-increasing prefix of the chain.
-    """
-    prev = 0
-    unplaced = False
-    for v in chain:
-        p = pos.get(v)
-        if p is None:
-            unplaced = True
-        elif unplaced or p <= prev:
-            return False
-        else:
-            prev = p
-    return True
+    A linear order per slot is a transitively closed orientation of the
+    variable pairs; selector (ci, t) says that constraint ci matches an
+    allowed pattern in slot t, and every constraint needs a selector.
+    Pair (i, j), i < j, in slot t is variable 1 + pair_index * k + t, true
+    when i precedes j."""
 
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.vars = vars_ = inst.sorted_vars()
+        n, k = len(vars_), inst.k
+        vidx = {v: i for i, v in enumerate(vars_)}
+        self.pairs = list(combinations(range(n), 2))
+        npairs = len(self.pairs)
+        pair_id = {p: i for i, p in enumerate(self.pairs)}
 
-class _BnB:
-    """Every placement sequence of the k orderings that no constraint
-    rules out.  Node d places the next variable of ordering d % k."""
+        def before(u: int, v: int, t: int) -> int:
+            if u < v:
+                return 1 + pair_id[(u, v)] * k + t
+            return -(1 + pair_id[(v, u)] * k + t)
 
-    def __init__(self, inst: Instance, cfg: SolverConfig):
-        self.node_limit = cfg.node_limit
-        self.k = inst.k
-        self.vars = inst.sorted_vars()
-        self.chains = [
-            [tuple(c[s - 1] for s in p) for p in inst.pi.perms]
-            for c in inst.constraints
-        ]
-        self.by_var: dict = {v: [] for v in self.vars}
-        for ci, c in enumerate(inst.constraints):
-            for v in set(c):
-                self.by_var[v].append(ci)
-        nC = len(inst.constraints)
-        self.alive = [[True] * self.k for _ in range(nC)]
-        self.possible = [self.k] * nC  # orderings where still alive
-        self.seqs = [[] for _ in range(self.k)]
-        self.pos = [dict() for _ in range(self.k)]
-        self.nodes = 0
-        self.found: list[Solution] = []
+        def selector(ci: int, t: int) -> int:
+            return npairs * k + ci * k + t + 1
 
-    def _place(self, t, v):
-        """Place v next in ordering t; return the constraints it killed."""
-        self.seqs[t].append(v)
-        pos = self.pos[t]
-        pos[v] = len(self.seqs[t])
-        killed = []
-        for ci in self.by_var[v]:
-            if not self.alive[ci][t]:
-                continue
-            for chain in self.chains[ci]:
-                if _chain_alive(chain, pos):
-                    break
-            else:
-                self.alive[ci][t] = False
-                self.possible[ci] -= 1
-                killed.append(ci)
-        return killed
-
-    def _unplace(self, t, v, killed):
-        for ci in killed:
-            self.alive[ci][t] = True
-            self.possible[ci] += 1
-        del self.pos[t][v]
-        self.seqs[t].pop()
-
-    def run(self):
-        self._search(0)
-        return self.found
-
-    def _search(self, depth):
-        if depth == self.k * len(self.vars):
-            self.found.append(Solution(LinearOrdering(s) for s in self.seqs))
-            return
-        t = depth % self.k
-        placed = self.pos[t]
-        for v in self.vars:
-            if v in placed:
-                continue
-            self.nodes += 1
-            if self.node_limit is not None and self.nodes > self.node_limit:
-                raise BudgetExceeded(self.nodes)
-            killed = self._place(t, v)
-            if all(self.possible[ci] for ci in killed):
-                self._search(depth + 1)
-            self._unplace(t, v, killed)
-
-
-# ---------------------------------------------------------------------------
-# Decision engine over pairwise order relations
-#
-# For yes/no questions the positional search above is outclassed by
-# branching on "u precedes v in ordering t" Booleans with clause learning:
-# a linear order per slot is a transitively closed orientation of the
-# variable pairs, and each constraint must match an allowed pattern in at
-# least one slot.  Enumeration keeps the positional engine, which yields
-# the solution multisets directly.
-
-
-def _cnf_decide(inst: Instance, cfg: SolverConfig) -> Optional[Solution]:
-    vars_ = inst.sorted_vars()
-    n, k = len(vars_), inst.k
-    vidx = {v: i for i, v in enumerate(vars_)}
-    npairs = n * (n - 1) // 2
-    pair_id = {p: i for i, p in enumerate(combinations(range(n), 2))}
-
-    def before(u: int, v: int, t: int) -> int:
-        # literal for "position of u < position of v" in slot t
-        if u < v:
-            return 1 + pair_id[(u, v)] * k + t
-        return -(1 + pair_id[(v, u)] * k + t)
-
-    sat = _CnfSolver(npairs * k + len(inst.constraints) * k)
-
-    def selector(ci: int, t: int) -> int:
-        return npairs * k + ci * k + t + 1
-
-    for i, j, l in combinations(range(n), 3):
-        for t in range(k):
-            ij, jl, il = before(i, j, t), before(j, l, t), before(i, l, t)
-            sat.add_clause([-ij, -jl, il])
-            sat.add_clause([ij, jl, -il])
-    allowed = {tuple(p) for p in inst.pi.perms}
-    for ci, c in enumerate(inst.constraints):
-        for p in permutations((1, 2, 3)):
-            if p in allowed:
-                continue
-            u, v, w = (vidx[c[s - 1]] for s in p)
+        self.sat = sat = _CnfSolver(npairs * k + len(inst.constraints) * k)
+        for i, j, l in combinations(range(n), 3):
             for t in range(k):
-                sat.add_clause([-selector(ci, t), -before(u, v, t),
-                                -before(v, w, t)])
-        sat.add_clause([selector(ci, t) for t in range(k)])
+                ij, jl, il = before(i, j, t), before(j, l, t), before(i, l, t)
+                sat.add_clause([-ij, -jl, il])
+                sat.add_clause([ij, jl, -il])
+        allowed = {tuple(p) for p in inst.pi.perms}
+        for ci, c in enumerate(inst.constraints):
+            for p in permutations((1, 2, 3)):
+                if p in allowed:
+                    continue
+                u, v, w = (vidx[c[s - 1]] for s in p)
+                for t in range(k):
+                    sat.add_clause([-selector(ci, t), -before(u, v, t),
+                                    -before(v, w, t)])
+            sat.add_clause([selector(ci, t) for t in range(k)])
 
-    res = sat.solve(conflict_limit=cfg.node_limit)
-    if res is None:
-        raise BudgetExceeded(cfg.node_limit)
-    if not res:
-        return None
-    model = sat.model()
-    orderings = []
-    for t in range(k):
-        rank = {v: sum(model[abs(before(u, w, t))] == (before(u, w, t) > 0)
-                       for u in range(n) if u != w)
-                for w, v in enumerate(vars_)}
-        # rank counts predecessors, so sorting by it linearizes the slot
-        orderings.append(LinearOrdering(
-            sorted(vars_, key=lambda v: rank[v])))
-    sol = Solution(orderings)
-    if not check_solution(inst, sol):
-        raise RuntimeError("CNF model orderings do not satisfy the instance")
-    return sol
+    def next(self, node_limit: Optional[int]) -> Optional[Solution]:
+        """A checked solution not blocked yet, or None when none is left.
+
+        Raises BudgetExceeded when the solver's conflicts, summed over
+        every call, would pass node_limit."""
+        sat = self.sat
+        limit = None if node_limit is None else node_limit - sat.conflicts
+        res = sat.solve(conflict_limit=limit)
+        if res is None:
+            raise BudgetExceeded(node_limit)
+        if not res:
+            return None
+        model = sat.model()
+        k = self.inst.k
+        orderings = []
+        for t in range(k):
+            rank = [0] * len(self.vars)  # predecessors in slot t
+            for p, (i, j) in enumerate(self.pairs):
+                rank[j if model[1 + p * k + t] else i] += 1
+            seq = [None] * len(self.vars)
+            for v, r in zip(self.vars, rank):
+                seq[r] = v
+            orderings.append(LinearOrdering(seq))
+        return _checked(self.inst, Solution(orderings))
+
+    def block(self, sol: Solution) -> None:
+        """Exclude sol: one clause per slot arrangement of the multiset,
+        negating that arrangement's k * C(n, 2) pair literals."""
+        k = self.inst.k
+        for arrangement in dict.fromkeys(permutations(sol.orderings)):
+            clause = []
+            for t, o in enumerate(arrangement):
+                pos = [o.position(v) for v in self.vars]
+                for p, (i, j) in enumerate(self.pairs):
+                    lit = 1 + p * k + t
+                    clause.append(-lit if pos[i] < pos[j] else lit)
+            self.sat.add_clause(clause)
 
 
 # ---------------------------------------------------------------------------
 # Public API
+
+
+def _checked(inst: Instance, sol: Solution) -> Solution:
+    if not check_solution(inst, sol):
+        raise RuntimeError(f"{sol!r} does not satisfy the instance")
+    return sol
 
 
 def solve(inst: Instance, cfg: SolverConfig = SolverConfig()) -> Optional[Solution]:
@@ -300,11 +238,9 @@ def solve(inst: Instance, cfg: SolverConfig = SolverConfig()) -> Optional[Soluti
         found = _exhaustive(inst, cfg, want_all=False)
         return found[0] if found else None
     if inst.pi.index in TRIVIAL_2ORDER and inst.k >= 2:
-        sol = trivial_pair_solution(inst, LinearOrdering(inst.sorted_vars()))
-        if not check_solution(inst, sol):
-            raise RuntimeError("reversal pair does not satisfy the instance")
-        return sol
-    return _cnf_decide(inst, cfg)
+        return _checked(inst, trivial_pair_solution(
+            inst, LinearOrdering(inst.sorted_vars())))
+    return _PairOrderCnf(inst).next(cfg.node_limit)
 
 
 def enumerate_solutions(inst: Instance,
@@ -316,11 +252,12 @@ def enumerate_solutions(inst: Instance,
     if cfg.mode == "exhaustive":
         found = _exhaustive(inst, cfg, want_all=True)
     else:
-        found = _BnB(inst, cfg).run()
-    uniq = sorted(set(found), key=Solution.sort_key)
-    if not all(check_solution(inst, sol) for sol in uniq):
-        raise RuntimeError("enumerated multiset does not satisfy the instance")
-    return uniq
+        cnf = _PairOrderCnf(inst)
+        found = []
+        while (sol := cnf.next(cfg.node_limit)) is not None:
+            found.append(sol)
+            cnf.block(sol)
+    return sorted(found, key=Solution.sort_key)
 
 
 def trivial_pair_solution(inst: Instance, alpha: LinearOrdering) -> Solution:

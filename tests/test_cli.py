@@ -157,6 +157,13 @@ def test_gadget_verify_pi6(capsys):
     assert report["result"]["solution_count"] == 1
 
 
+def test_gadget_verify_budget_unknown(capsys):
+    code, report = run(capsys, "gadget-verify", "pi9", "--node-limit", "10")
+    assert code == 2
+    assert report["result"]["unique"] is None
+    assert report["result"]["pi"] == 9
+
+
 # ---------------------------------------------------------------------------
 # tau
 
@@ -229,6 +236,14 @@ def test_compat_separating_example(tmp_path, capsys):
     assert report["result"]["compatible"] is False
     code, report = run(capsys, "compat", str(f), "--k", "3", "--caterpillar")
     assert code == 0
+
+
+def test_compat_bad_k(tmp_path, capsys):
+    f = tmp_path / "x.trip"
+    f.write_text(format_triplets(SEPARATING))
+    code, report = run(capsys, "compat", str(f), "--k", "0")
+    assert code == 2
+    assert "k must be" in report["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from math import factorial
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triord.orderings import (
     implied_constraints, make_instance, ordering, pi_family, reversal,
@@ -15,7 +16,6 @@ from triord.solver import (
     enumerate_solutions, solve, trivial_pair_solution,
 )
 from triord.gadgets import builtin_gadget, gadget_instance
-from triord.solver import _BnB
 
 BNB = SolverConfig(mode="branch_and_bound")
 EXH = SolverConfig(mode="exhaustive")
@@ -121,14 +121,36 @@ def test_trivial_families_always_satisfiable():
             assert solve(inst, BNB) is not None
 
 
-@pytest.mark.parametrize("name, nodes, count", [("pi5", 582, 4),
-                                                ("pi6", 83, 1)])
-def test_enumerator_nodes_on_gadgets(name, nodes, count):
+@pytest.mark.parametrize("name, conflicts, count", [("pi5", 62, 4),
+                                                    ("pi6", 38, 1)])
+def test_enumeration_conflict_budget_on_gadgets(name, conflicts, count):
+    # the budget caps conflicts summed over every solve of the enumeration
     gens, fam, k, _ = builtin_gadget(name)
     inst = gadget_instance(list(gens), fam, k)
-    search = _BnB(inst, BNB_ALL)
-    assert len(set(search.run())) == count
-    assert search.nodes == nodes
+    assert len(enumerate_solutions(
+        inst, SolverConfig(node_limit=conflicts))) == count
+    with pytest.raises(BudgetExceeded):
+        enumerate_solutions(inst, SolverConfig(node_limit=conflicts - 1))
+
+
+@st.composite
+def _small_instances(draw, pi):
+    # k = 3 keeps three variables, so blocking all 3! slot arrangements
+    # of a multiset is exercised
+    k = draw(st.integers(1, 3))
+    m = 3 if k == 3 else draw(st.integers(3, 4))
+    cs = draw(st.lists(st.permutations(range(m)).map(lambda p: tuple(p[:3])),
+                       max_size=4))
+    return make_instance(pi, k, range(m), cs)
+
+
+@pytest.mark.parametrize("pi", range(11))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_enumeration_matches_exhaustive(pi, data):
+    inst = data.draw(_small_instances(pi))
+    assert enumerate_solutions(inst, BNB_ALL) == \
+        enumerate_solutions(inst, EXH_ALL)
 
 
 def test_solve_trivial_family_gives_reversal_pair():
