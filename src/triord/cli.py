@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 
 from .extremal import export_lp_model, tau, tau_decision
 from .gadgets import (
@@ -169,9 +170,10 @@ def _cmd_reduce(args, t0) -> int:
 def _cmd_gadget_verify(args, t0) -> int:
     if args.name == "tree-triple":
         triple = tuple(map(caterpillar_of, TREE_GADGET))
-        payload = verify_tree_uniqueness(triple).to_dict()
-        payload["trees"] = [to_newick(t) for t in triple]
-        payload["orderings"] = [list(o.seq) for o in TREE_GADGET]
+        sym = NO_SYMMETRY
+        verify = partial(verify_tree_uniqueness, triple)
+        extra = {"trees": [to_newick(t) for t in triple],
+                 "orderings": [list(o.seq) for o in TREE_GADGET]}
     else:
         try:
             gens, fam, k, sym = builtin_gadget(args.name)
@@ -179,14 +181,14 @@ def _cmd_gadget_verify(args, t0) -> int:
             raise _CliError(str(e)) from None
         if args.no_symmetry:
             sym = NO_SYMMETRY
-        try:
-            payload = verify_uniqueness(list(gens), fam, k, sym,
-                                        node_limit=args.node_limit).to_dict()
-        except BudgetExceeded:
-            payload = {"unique": None, "symmetry": sym.kind}
-        payload["pi"] = fam.index
-        payload["k"] = k
-        payload["generators"] = [list(g.seq) for g in gens]
+        verify = partial(verify_uniqueness, list(gens), fam, k, sym)
+        extra = {"pi": fam.index, "k": k,
+                 "generators": [list(g.seq) for g in gens]}
+    try:
+        payload = verify(node_limit=args.node_limit).to_dict()
+    except BudgetExceeded:
+        payload = {"unique": None, "symmetry": sym.kind}
+    payload.update(extra)
     _emit(args, payload, t0, _digest(args.name))
     return {True: EXIT_YES, False: EXIT_NO,
             None: EXIT_UNKNOWN}[payload["unique"]]
@@ -243,7 +245,7 @@ def _cmd_compat(args, t0) -> int:
         "k": args.k, "caterpillar": args.caterpillar,
         "triplets": len(trips),
         "compatible": trees is not None,
-        "trees": [to_newick(t) for t in trees] if trees else None,
+        "trees": None if trees is None else [to_newick(t) for t in trees],
     }, t0, _digest(text))
     return EXIT_YES if trees is not None else EXIT_NO
 

@@ -5,7 +5,7 @@ whose displayed triplets jointly cover the full set T_n of all 3*C(n,3)
 triplets; ``tau_c`` restricts the trees to caterpillars.  Deciding
 tau(n) <= k is the k-tree cover question for T_n, so ``tau_decision``
 hands it to the same CDCL model that decides k-tree compatibility
-(``phylo._k_tree_sat``): one variable per tree slot, leaf triple and
+(``phylo._TreeCoverCnf``): one variable per tree slot, leaf triple and
 orientation, constrained by
 
   (1) covering: every orientation appears in some slot,
@@ -33,9 +33,10 @@ from typing import Iterable, Optional
 
 from .orderings import ordering, var_key
 from .phylo import (
-    RootedTree, Triplet, _k_tree_sat, caterpillar_of, displays,
+    RootedTree, Triplet, _TreeCoverCnf, caterpillar_of, displays,
     four_leaf_closure, join, triplet, triplet_labels,
 )
+from .solver import BudgetExceeded
 
 __all__ = [
     "full_triplet_set", "TauDecision", "tau_decision", "TauBound", "tau",
@@ -83,10 +84,14 @@ def tau_decision(n: int, k: int, caterpillar_mode: bool = False,
         raise ValueError(f"need at least 3 leaves, got {n}")
     if k < 1:
         raise ValueError(f"need at least one tree slot, got {k}")
-    answer, trees, conflicts = _k_tree_sat(
-        sorted(full_triplet_set(n)), k, caterpillar_mode, node_limit)
-    return TauDecision(n, k, caterpillar_mode, answer,
-                       tuple(trees) if trees else None, conflicts)
+    cnf = _TreeCoverCnf(sorted(full_triplet_set(n)), k, caterpillar_mode)
+    try:
+        trees = cnf.next(node_limit)
+    except BudgetExceeded:
+        return TauDecision(n, k, caterpillar_mode, None,
+                           nodes=cnf.sat.conflicts)
+    return TauDecision(n, k, caterpillar_mode, trees is not None,
+                       tuple(trees) if trees else None, cnf.sat.conflicts)
 
 
 @dataclass(frozen=True)

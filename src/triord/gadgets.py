@@ -4,22 +4,25 @@ An ordering gadget is the instance whose constraints are everything implied
 by a fixed tuple of generator orderings; `verify_uniqueness` re-enumerates
 the full solution set and compares it against the generators modulo a
 declared symmetry (per-order reversal for the reversal-closed families,
-first-two swap for the cherry symmetry, or none).
+or none).
 
 The tree gadget `TREE_GADGET` is a triple of 6-leaf caterpillars, stored
 as their deepest-first leaf orders, whose combined displayed triplet set
-admits no other covering triple among all 945^3 triples of rooted binary
-trees on {0..5}; `verify_tree_uniqueness` checks that claim.
-`derive_caterpillar_triple` re-finds the triple by complete search;
-structural facts (root children 5/1/0, cherries {0,1}/{0,5}) narrow the
-candidate space and are re-checked on the result.
+admits no other covering triple of rooted binary trees on {0..5};
+`verify_tree_uniqueness` checks that claim by enumerating the covers of
+that set on the CDCL core (`phylo._TreeCoverCnf`, blocking each cover
+found).  `derive_caterpillar_triple` re-finds the triple by complete
+search: structural facts (root children 5/1/0, cherries {0,1}/{0,5})
+narrow the candidate space and are re-checked on the result, and each
+candidate that passes a rigidity filter is blocked in its own cover CNF,
+which must then be unsatisfiable.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 from typing import Optional
 
@@ -27,12 +30,12 @@ from .orderings import (
     Instance, LinearOrdering, implied_constraints, pi_family, reversal,
 )
 from .phylo import (
-    RootedTree, caterpillar_of, cherries, displayed_triplets,
-    enumerate_trees, ordering_of, triplet,
+    RootedTree, _TreeCoverCnf, caterpillar_of, cherries, displayed_triplets,
+    enumerate_trees, ordering_of,
 )
 from .solver import Solution, SolverConfig, enumerate_solutions
 
-SYMMETRY_KINDS = ("none", "per_order_reversal", "swap_first_two")
+SYMMETRY_KINDS = ("none", "per_order_reversal")
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,6 @@ class SymmetrySpec:
     def canonical_member(self, o: LinearOrdering) -> LinearOrdering:
         if self.kind == "per_order_reversal":
             return min(o, reversal(o), key=LinearOrdering.sort_key)
-        if self.kind == "swap_first_two" and len(o) >= 2:
-            swapped = LinearOrdering((o.seq[1], o.seq[0]) + o.seq[2:])
-            return min(o, swapped, key=LinearOrdering.sort_key)
         return o
 
     def canonical(self, sol: Solution) -> Solution:
@@ -60,9 +60,6 @@ NO_SYMMETRY = SymmetrySpec("none", "no symmetry")
 PER_ORDER_REVERSAL = SymmetrySpec(
     "per_order_reversal",
     "each member ordering is identified with its reversal")
-SWAP_FIRST_TWO = SymmetrySpec(
-    "swap_first_two",
-    "the two deepest elements of each member are interchangeable")
 
 
 @dataclass(frozen=True)
@@ -164,76 +161,35 @@ def builtin_gadget(name: str):
 _GADGET_LEAVES = tuple(range(6))
 
 
-def _tree_masks():
-    """All rooted binary trees on {0..5}, the bitmask of each one's
-    displayed triplets, and each tree's index in that list."""
-    idx = {}
-    for a, b, c in combinations(_GADGET_LEAVES, 3):
-        for r in (triplet(a, b, c), triplet(a, c, b), triplet(b, c, a)):
-            idx[r] = len(idx)
-    trees = enumerate_trees(_GADGET_LEAVES)
-    tmasks = [sum(1 << idx[r] for r in displayed_triplets(t)) for t in trees]
-    return trees, tmasks, {t: i for i, t in enumerate(trees)}
-
-
 def _cat_topdown(seq) -> RootedTree:
     """Caterpillar from its top-down spine listing."""
     return caterpillar_of(tuple(reversed(seq)))
 
 
-def _covering_triples(tmasks: list[int], cover: int,
-                      limit: Optional[int] = None) -> set[tuple[int, int, int]]:
-    """All multisets {i, j, l} of tree indices whose displayed sets jointly
-    contain ``cover``; stops early once more than ``limit`` are found.
-
-    Complete despite the popcount prune: every tree displays exactly
-    C(6,3) = 20 triplets, so in any covering triple the pair complementing
-    the third tree covers at least popcount(cover) - 20 bits.
-    """
-    pc = cover.bit_count()
-    masks = [m & cover for m in tmasks]
-    n = len(masks)
-    out: set = set()
-    for i in range(n):
-        mi = masks[i]
-        for j in range(i, n):
-            u = mi | masks[j]
-            if u.bit_count() < pc - 20:
-                continue
-            rem = cover & ~u
-            for l in range(j, n):
-                if masks[l] & rem == rem:
-                    out.add((i, j, l))
-                    if limit is not None and len(out) > limit:
-                        return out
-    return out
-
-
-def verify_tree_uniqueness(triple: tuple[RootedTree, RootedTree, RootedTree]
-                           ) -> GadgetReport:
-    """Scan all triples of rooted binary trees on {0..5} for covers of the
-    triple's displayed-triplet union; unique iff only slot-permutations of
-    the input cover it.  For triples of three distinct trees, also checks
-    that no covering triple contains a tree with two or more cherries (for
-    degenerate inputs the union is too small for that to hold)."""
+def verify_tree_uniqueness(triple: tuple[RootedTree, RootedTree, RootedTree],
+                           node_limit: Optional[int] = None) -> GadgetReport:
+    """Enumerate the tree triples on {0..5} that cover the triple's
+    displayed-triplet union (on the CDCL core, stopping after five);
+    unique iff only slot-permutations of the input cover it.  For triples
+    of three distinct trees, also checks that no covering triple contains
+    a tree with two or more cherries (for degenerate inputs the union is
+    too small for that to hold).  ``node_limit`` caps the CDCL conflicts
+    summed over the enumeration; past it BudgetExceeded is raised."""
     if any(t.leaves != frozenset(_GADGET_LEAVES) for t in triple):
         raise ValueError("gadget trees must have leaves {0..5}")
-    trees, tmasks, tree_index = _tree_masks()
-    cover = 0
-    for t in triple:
-        cover |= tmasks[tree_index[t]]
-    covers = _covering_triples(tmasks, cover, limit=4)
-    self_t = tuple(sorted(tree_index[t] for t in triple))
-    unique = covers == {self_t}
-    if len(set(triple)) == 3 and any(len(cherries(trees[i])) != 1
-                                     for c in covers for i in c):
+    cnf = _TreeCoverCnf(sorted(gadget_triplet_union(triple)), 3)
+    covers = set()
+    while len(covers) <= 4 and (trees := cnf.next(node_limit)) is not None:
+        covers.add(tuple(sorted(trees, key=RootedTree.sort_key)))
+        cnf.block(trees)
+    if len(set(triple)) == 3 and any(len(cherries(t)) != 1
+                                     for c in covers for t in c):
         raise RuntimeError("covering triple contains a multi-cherry tree")
-    found = tuple(tuple(trees[i] for i in c) for c in sorted(covers))
     return GadgetReport(
         instance=None,
         expected=(tuple(triple),),
-        found=found,
-        unique=unique,
+        found=tuple(sorted(covers, key=lambda c: [t.sort_key() for t in c])),
+        unique=covers == {tuple(sorted(triple, key=RootedTree.sort_key))},
         raw_ordered_count=sum(_ordered_count(c) for c in covers),
         symmetry=NO_SYMMETRY,
     )
@@ -248,40 +204,38 @@ def derive_caterpillar_triple() -> tuple[tuple[RootedTree, RootedTree, RootedTre
     re-checked on the result): the root child of C1 is leaf 5, of C2 leaf 1,
     of C3 leaf 0; {0,1} is a cherry of C1 and {0,5} of C2.  A cheap
     rigidity filter (each member must be the only tree covering its private
-    triplets) precedes the complete covering scan.  Returns the
+    triplets) precedes the complete check: block the candidate in its
+    cover CNF and ask the CDCL core for any other cover.  Returns the
     lexicographically first qualifying triple and the three corresponding
     orderings.
     """
-    trees, tmasks, tree_index = _tree_masks()
+    shown = {t: displayed_triplets(t) for t in enumerate_trees(_GADGET_LEAVES)}
+    bit = {r: 1 << i for i, r in enumerate(set().union(*shown.values()))}
+    tmasks = {t: sum(bit[r] for r in rs) for t, rs in shown.items()}
 
     c1s = [_cat_topdown((5,) + p + (0, 1)) for p in permutations((2, 3, 4))]
     c2s = [_cat_topdown((1,) + p + (0, 5)) for p in permutations((2, 3, 4))]
-    seen: set = set()
-    c3s = []
-    for p in permutations((1, 2, 3, 4, 5)):
-        t = _cat_topdown((0,) + p)
-        if t not in seen:
-            seen.add(t)
-            c3s.append(t)
+    c3s = list(dict.fromkeys(_cat_topdown((0,) + p)
+                             for p in permutations((1, 2, 3, 4, 5))))
 
-    def sole_coverer(private: int, self_i: int) -> bool:
+    def sole_coverer(private: int, self_mask: int) -> bool:
         return all(m & private != private
-                   for i, m in enumerate(tmasks) if i != self_i)
+                   for m in tmasks.values() if m != self_mask)
 
     candidates = sorted(
         ((t1, t2, t3) for t1 in c1s for t2 in c2s for t3 in c3s),
         key=lambda tr: tuple(t.sort_key() for t in tr))
-    for t1, t2, t3 in candidates:
-        i1, i2, i3 = (tree_index[t] for t in (t1, t2, t3))
-        m1, m2, m3 = tmasks[i1], tmasks[i2], tmasks[i3]
+    for triple in candidates:
+        m1, m2, m3 = (tmasks[t] for t in triple)
         cover = m1 | m2 | m3
-        if not (sole_coverer(cover & ~(m2 | m3), i1)
-                and sole_coverer(cover & ~(m1 | m3), i2)
-                and sole_coverer(cover & ~(m1 | m2), i3)):
+        if not (sole_coverer(cover & ~(m2 | m3), m1)
+                and sole_coverer(cover & ~(m1 | m3), m2)
+                and sole_coverer(cover & ~(m1 | m2), m3)):
             continue
-        if _covering_triples(tmasks, cover, limit=1) == \
-                {tuple(sorted((i1, i2, i3)))}:
-            triple = (t1, t2, t3)
+        cnf = _TreeCoverCnf(sorted(gadget_triplet_union(triple)), 3)
+        cnf.block(triple)
+        if cnf.next(None) is None:
+            t1, t2, _ = triple
             if [_root_leaf_child(t) for t in triple] != [5, 1, 0] \
                     or frozenset({0, 1}) not in cherries(t1) \
                     or frozenset({0, 5}) not in cherries(t2):

@@ -18,12 +18,14 @@ cherry tie towards the smaller label, and ``caterpillar_of`` inverts it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 from ._sat import Solver
 from .orderings import LinearOrdering, _parse_name, var_key
+from .solver import BudgetExceeded
 
 Label = object
 Triplet = tuple  # canonical (a, b, c): a < b by var_key, witness c
@@ -567,77 +569,103 @@ def _orient(tid: dict, a, c, w) -> int:
     return tid[key] * 3 + (0 if w == key[2] else (1 if w == key[1] else 2))
 
 
-def _k_tree_sat(triplets: list, k: int, caterpillars: bool = False,
-                conflict_limit: Optional[int] = None) -> tuple:
-    """Whether k trees (caterpillars if flagged) jointly display the
-    triplets, as ``(answer, trees, conflicts)``: answer is None when the
-    CDCL conflict budget ran out, and trees is the witness on yes.
+class _TreeCoverCnf:
+    """The CNF of a k-tree (k-caterpillar if flagged) cover of the
+    triplets, and a checked decoder of its models.
 
-    Encodes the cover as CNF over one orientation per leaf triple per
-    tree slot, constrained by the four-leaf closure; k closed orientations
-    that each pick the input triplets somewhere are precisely a k-tree
-    cover.
+    One variable per orientation row of each leaf triple (see _orient)
+    per tree slot, constrained by the four-leaf closure: k closed
+    orientations that each pick the input triplets somewhere are
+    precisely a k-tree cover.  Row i in slot b is variable 1 + i * k + b;
+    the first triplet is covered in slot 0 without loss of generality.
     """
-    labels = sorted(triplet_labels(triplets), key=var_key)
-    lidx = {x: i for i, x in enumerate(labels)}
-    tri = list(combinations(range(len(labels)), 3))
-    tid = {t: i for i, t in enumerate(tri)}
 
-    # pos[i][b] is the variable of orientation i in tree slot b; the
-    # clauses share these int objects instead of each holding its own
-    pos = [list(range(1 + i * k, 1 + i * k + k)) for i in range(3 * len(tri))]
-    neg = [[-v for v in row] for row in pos]
-    sat = Solver(len(pos) * k)
-    for i in range(0, len(pos), 3):
-        v0, v1, v2 = pos[i:i + 3]
-        n0, n1, n2 = neg[i:i + 3]
-        for b in range(k):
-            sat.add_clause([v0[b], v1[b], v2[b]])  # exactly one orientation
-            sat.add_clause([n0[b], n1[b]])
-            sat.add_clause([n0[b], n2[b]])
-            sat.add_clause([n1[b], n2[b]])
-    # the closure on the quad (0, 1, 2, 3), each triplet as one of the
-    # quad's 12 orientation rows; every increasing quad maps onto it with
-    # the same orientations
-    quad_tid = {t: i for i, t in enumerate(combinations(range(4), 3))}
-    table = [tuple(None if t is None else _orient(quad_tid, *t) for t in pat)
-             for pat in four_leaf_closure((0, 1, 2, 3), caterpillars)]
-    add = sat.add_clause
-    for quad in combinations(range(len(labels)), 4):
-        rows = [3 * tid[t] + o
-                for t in combinations(quad, 3) for o in range(3)]
-        for p, q, r in table:
-            not_p, not_q = neg[rows[p]], neg[rows[q]]
-            if r is None:
-                for clause in zip(not_p, not_q):
-                    add(clause)
-            else:
-                for clause in zip(not_p, not_q, pos[rows[r]]):
-                    add(clause)
-    covers = [_orient(tid, *(lidx[x] for x in t)) for t in triplets]
-    for i in covers:
-        sat.add_clause(pos[i])
-    sat.add_clause([pos[covers[0]][0]])  # WLOG the first slot covers it
-    answer = sat.solve(conflict_limit)
-    if not answer:
-        return answer, None, sat.conflicts
-    model = sat.model()
-    out = []
-    for b in range(k):
-        chosen = set()
-        for i, (x, y, z) in enumerate(tri):
-            for o, (a, c, w) in enumerate(((x, y, z), (x, z, y), (y, z, x))):
-                if model[pos[3 * i + o][b]]:
-                    chosen.add(triplet(labels[a], labels[c], labels[w]))
-        tree = aho_build(chosen)
-        if tree is None or caterpillars and not is_caterpillar(tree):
-            raise RuntimeError(f"tree slot {b} of the CNF model is not a "
-                               + ("caterpillar" if caterpillars else "tree"))
-        out.append(tree)
-    for t in triplets:
-        if not any(displays(tree, t) for tree in out):
-            raise RuntimeError(f"CNF model trees do not display {t}")
-    return True, out, sat.conflicts
+    def __init__(self, triplets: list, k: int, caterpillars: bool = False):
+        self.triplets, self.k, self.caterpillars = triplets, k, caterpillars
+        labels = sorted(triplet_labels(triplets), key=var_key)
+        tri = list(combinations(range(len(labels)), 3))
+        tid = {t: i for i, t in enumerate(tri)}
+        # the canonical triplet of each orientation row
+        self.rows = [triplet(labels[a], labels[c], labels[w])
+                     for x, y, z in tri
+                     for a, c, w in ((x, y, z), (x, z, y), (y, z, x))]
+        self.row_of = {r: i for i, r in enumerate(self.rows)}
+
+        # pos[i][b] is the variable of orientation i in tree slot b; the
+        # clauses share these int objects instead of each holding its own
+        self.pos = pos = [list(range(1 + i * k, 1 + i * k + k))
+                          for i in range(len(self.rows))]
+        neg = [[-v for v in row] for row in pos]
+        self.sat = sat = Solver(len(pos) * k)
+        for i in range(0, len(pos), 3):
+            v0, v1, v2 = pos[i:i + 3]
+            n0, n1, n2 = neg[i:i + 3]
+            for b in range(k):
+                sat.add_clause([v0[b], v1[b], v2[b]])  # one orientation
+                sat.add_clause([n0[b], n1[b]])
+                sat.add_clause([n0[b], n2[b]])
+                sat.add_clause([n1[b], n2[b]])
+        # the closure on the quad (0, 1, 2, 3), each triplet as one of the
+        # quad's 12 orientation rows; every increasing quad maps onto it
+        # with the same orientations
+        quad_tid = {t: i for i, t in enumerate(combinations(range(4), 3))}
+        table = [tuple(None if t is None else _orient(quad_tid, *t)
+                       for t in pat)
+                 for pat in four_leaf_closure((0, 1, 2, 3), caterpillars)]
+        add = sat.add_clause
+        for quad in combinations(range(len(labels)), 4):
+            rows = [3 * tid[t] + o
+                    for t in combinations(quad, 3) for o in range(3)]
+            for p, q, r in table:
+                not_p, not_q = neg[rows[p]], neg[rows[q]]
+                if r is None:
+                    for clause in zip(not_p, not_q):
+                        add(clause)
+                else:
+                    for clause in zip(not_p, not_q, pos[rows[r]]):
+                        add(clause)
+        covers = [self.row_of[triplet(*t)] for t in triplets]
+        for i in covers:
+            sat.add_clause(pos[i])
+        sat.add_clause([pos[covers[0]][0]])  # WLOG the first slot covers it
+
+    def next(self, node_limit: Optional[int]) -> Optional[list[RootedTree]]:
+        """The checked trees of a cover not blocked yet, slot by slot, or
+        None when none is left.
+
+        Raises BudgetExceeded when the solver's conflicts, summed over
+        every call, would pass node_limit."""
+        sat = self.sat
+        limit = None if node_limit is None else node_limit - sat.conflicts
+        res = sat.solve(conflict_limit=limit)
+        if res is None:
+            raise BudgetExceeded(node_limit)
+        if not res:
+            return None
+        model = sat.model()
+        out = []
+        for b in range(self.k):
+            tree = aho_build({r for r, v in zip(self.rows, self.pos)
+                              if model[v[b]]})
+            if tree is None or self.caterpillars and not is_caterpillar(tree):
+                raise RuntimeError(
+                    f"tree slot {b} of the CNF model is not a "
+                    + ("caterpillar" if self.caterpillars else "tree"))
+            out.append(tree)
+        for t in self.triplets:
+            if not any(displays(tree, t) for tree in out):
+                raise RuntimeError(f"CNF model trees do not display {t}")
+        return out
+
+    def block(self, trees) -> None:
+        """Exclude the cover: one clause per slot arrangement of the
+        multiset, negating the orientation literals each tree displays."""
+        rows = {t: [self.row_of[r] for r in displayed_triplets(t)]
+                for t in trees}
+        for arrangement in dict.fromkeys(permutations(trees)):
+            self.sat.add_clause([-self.pos[i][b]
+                                 for b, t in enumerate(arrangement)
+                                 for i in rows[t]])
 
 
 def k_tree_compatible(triplets: Iterable[Triplet], k: int,
@@ -646,14 +674,14 @@ def k_tree_compatible(triplets: Iterable[Triplet], k: int,
     """At most k trees (caterpillars if flagged) jointly displaying the
     triplets, or None.  Caterpillar covers come from a complete search
     over triplet -> block partitions (see _PartitionSearch), tree covers
-    from the propositional orientation model (see _k_tree_sat)."""
+    from the propositional orientation model (see _TreeCoverCnf)."""
     triplets = sorted(frozenset(triplets), key=lambda t: tuple(map(var_key, t)))
     if k < 1:
         raise ValueError("k must be >= 1")
     if not triplets:
         return []
     if not caterpillars_only:
-        return _k_tree_sat(triplets, k)[1]
+        return _TreeCoverCnf(triplets, k).next(None)
     blocks = _PartitionSearch(triplets, k).run()
     if blocks is None:
         return None
@@ -775,22 +803,28 @@ def to_dot(d: Digraph) -> str:
 
 
 def parse_dot(text: str) -> Digraph:
-    """Minimal digraph reader for the DOT subset written by to_dot."""
+    """Minimal digraph reader for the DOT subset written by to_dot: one
+    vertex or arc per line, names bare or quoted.  Anything else (arc
+    chains, attribute lists, two statements on a line) is a ValueError."""
     verts = set()
     arcs = set()
 
-    def parse(tok: str):
-        return _parse_name(tok.strip().strip(';').strip('"'))
+    def parse(tok: str, lineno: int):
+        name = tok.strip().removesuffix(";").strip()
+        if len(name) > 1 and name[0] == name[-1] == '"':
+            name = name[1:-1]
+        if not name or re.search(r'->|[\s"\[\]{};=]', name):
+            raise ValueError(f"line {lineno}: not a DOT vertex or arc")
+        return _parse_name(name)
 
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("digraph", "}", "//", "#")):
             continue
         if "->" in line:
-            u, v = (parse(p) for p in line.split("->", 1))
-            verts.add(u)
-            verts.add(v)
+            u, v = (parse(p, lineno) for p in line.split("->", 1))
+            verts |= {u, v}
             arcs.add((u, v))
         else:
-            verts.add(parse(line))
+            verts.add(parse(line, lineno))
     return Digraph(frozenset(verts), frozenset(arcs))

@@ -164,6 +164,14 @@ def test_gadget_verify_budget_unknown(capsys):
     assert report["result"]["pi"] == 9
 
 
+def test_gadget_verify_tree_triple_budget_unknown(capsys):
+    code, report = run(capsys, "gadget-verify", "tree-triple",
+                       "--node-limit", "1")
+    assert code == 2
+    assert report["result"]["unique"] is None
+    assert len(report["result"]["trees"]) == 3
+
+
 # ---------------------------------------------------------------------------
 # tau
 
@@ -246,6 +254,15 @@ def test_compat_bad_k(tmp_path, capsys):
     assert "k must be" in report["error"]
 
 
+def test_compat_empty_file(tmp_path, capsys):
+    f = tmp_path / "empty.trip"
+    f.write_text("")
+    code, report = run(capsys, "compat", str(f), "--k", "1")
+    assert code == 0
+    assert report["result"]["compatible"] is True
+    assert report["result"]["trees"] == []
+
+
 # ---------------------------------------------------------------------------
 # dicolor
 
@@ -270,6 +287,14 @@ def test_dicolor_no(tmp_path, capsys):
     code, report = run(capsys, "dicolor", str(f))
     assert code == 1
     assert report["result"]["coloring"] is None
+
+
+def test_dicolor_rejects_unsupported_dot(tmp_path, capsys):
+    f = tmp_path / "chain.dot"
+    f.write_text("digraph {\n  a -> b -> c;\n}\n")
+    code, report = run(capsys, "dicolor", str(f))
+    assert code == 2
+    assert "line 2" in report["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 oracle, the caterpillar/digraph equivalence, and serialization."""
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triord import phylo
 from triord.orderings import (
@@ -18,7 +19,7 @@ from triord.phylo import (
     enumerate_trees, format_triplets, four_leaf_closure, is_acyclic,
     is_caterpillar, join, k_tree_compatible, lca, leaf, ordering_of,
     parse_dot, parse_newick, parse_triplets, restrict_tree, to_dot,
-    to_newick, triplet, triplet_digraph, two_dicolorable,
+    to_newick, triplet, triplet_digraph, triplet_labels, two_dicolorable,
 )
 from triord.solver import solve
 
@@ -317,8 +318,48 @@ def test_tree_cnf_follows_the_closure_generator(monkeypatch):
         for k in (1, 2, 3):
             for caterpillars in (False, True):
                 log.clear()
-                phylo._k_tree_sat(trips, k, caterpillars)
+                phylo._TreeCoverCnf(trips, k, caterpillars)
                 assert log == tree_cnf_by_closure(trips, n, k, caterpillars)
+
+
+@st.composite
+def _cover_questions(draw):
+    """(triplets, k, caterpillars): a subset of the triplets displayed by
+    k random trees (caterpillars), plus at most one arbitrary triplet so
+    that some questions have no cover; 3-4 labels with k <= 3, 5 labels
+    with k <= 2."""
+    n = draw(st.integers(3, 5))
+    k = draw(st.integers(1, 2 if n == 5 else 3))
+    caterpillars = draw(st.booleans())
+    pool = (enumerate_caterpillars if caterpillars else enumerate_trees)(
+        range(n))
+    shown = sorted(frozenset().union(*(
+        displayed_triplets(t) for t in draw(
+            st.lists(st.sampled_from(pool), min_size=k, max_size=k)))))
+    trips = draw(st.sets(st.sampled_from(shown), min_size=1))
+    trips |= draw(st.sets(st.sampled_from(
+        [triplet(a, b, c) for a, b, c in permutations(range(n), 3)]),
+        max_size=1))
+    return sorted(trips), k, caterpillars
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cover_questions())
+def test_tree_cnf_enumeration_matches_brute_force(question):
+    trips, k, caterpillars = question
+    pool = (enumerate_caterpillars if caterpillars else enumerate_trees)(
+        triplet_labels(trips))
+    shown = [displayed_triplets(t) for t in pool]
+    expected = {tuple(pool[i] for i in c)
+                for c in combinations_with_replacement(range(len(pool)), k)
+                if set(trips) <= frozenset().union(*(shown[i] for i in c))}
+    cnf = phylo._TreeCoverCnf(trips, k, caterpillars)
+    found = []
+    while (trees := cnf.next(None)) is not None:
+        found.append(tuple(sorted(trees, key=RootedTree.sort_key)))
+        cnf.block(trees)
+    assert len(found) == len(set(found))  # no multiset comes back twice
+    assert set(found) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -367,3 +408,11 @@ def test_triplet_file_round_trip():
 def test_dot_round_trip():
     d = Digraph({1, 2, "v"}, {(1, 2), ("v", 1)})
     assert parse_dot(to_dot(d)) == d
+
+
+@pytest.mark.parametrize("line", [
+    "a -> b -> c;", "a -> b [color=red];", "a -> b; c -> d;", "a [shape=box];",
+])
+def test_parse_dot_rejects_what_it_cannot_read(line):
+    with pytest.raises(ValueError, match="line 2"):
+        parse_dot("digraph {\n  " + line + "\n}\n")
