@@ -14,12 +14,25 @@ v and ``lval[-v]`` wraps to index 2n + 1 - v, so either polarity is one
 list index and no literal is encoded.  ``lval[lit]`` is +1 when ``lit``
 is true, -1 when false and 0 when free; an assignment writes both
 polarities.  Watch lists and ``reason`` hold the clause lists
-themselves, and a decision's reason is None.
+themselves, and a decision's reason is None.  ``_propagate`` compacts a
+watch list in place behind a write index: clauses whose other watch is
+true stay, in their order, and clauses that found a new watch leave.
+
+Decisions pop a binary heap of ``(-activity, var)`` entries, as MiniSat
+orders its variables.  An entry is live while its key matches the
+variable's activity: a bump leaves the old entry stale, and a popped
+stale entry is dropped.  ``inheap[v]`` says whether v has a live entry;
+a bump or a pop clears it, and the backtrack that frees v pushes a new
+entry only when it is clear.  So each variable has at most one live
+entry and every free variable has one, and the first live entry of a
+free variable to be popped is the free variable of highest activity,
+ties to the lowest index.  A rescale changes every key, so it rebuilds
+the heap from every variable.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 _VAR_DECAY = 1.0 / 0.95
@@ -43,9 +56,13 @@ class Solver:
         self.inc = 1.0
         self.heap: list[tuple[float, int]] = [
             (0.0, v) for v in range(1, nvars + 1)]  # already a heap
+        self.inheap: list[bool] = [True] * (nvars + 1)
         self.ok = True
         self.n_learnt = 0
-        self.conflicts = 0  # over every solve() call
+        # counted over every solve() call
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0  # trail literals whose watches were visited
         self._model: list[bool] = []
 
     # -- construction -----------------------------------------------------
@@ -99,58 +116,77 @@ class Solver:
         trail, lval, watches = self.trail, self.lval, self.watches
         level, reason, phase = self.level, self.reason, self.phase
         lvl = len(self.lim)
-        qhead = self.qhead
+        qhead = start = self.qhead
         while qhead < len(trail):
             false_lit = -trail[qhead]
             qhead += 1
             watch = watches[false_lit]
-            kept = []
-            for w, lits in enumerate(watch):
+            kept = 0  # watch[:kept] holds the clauses that stay
+            for i, lits in enumerate(watch):
                 # keep the false watch at lits[1]
                 first = lits[0]
                 if first == false_lit:
                     first = lits[0] = lits[1]
                     lits[1] = false_lit
                 if lval[first] > 0:
-                    kept.append(lits)
+                    watch[kept] = lits
+                    kept += 1
                     continue
-                for j in range(2, len(lits)):
-                    lit = lits[j]
+                size = len(lits)
+                if size == 3:
+                    lit = lits[2]
                     if lval[lit] >= 0:
+                        lits[1] = lit
+                        lits[2] = false_lit
+                        watches[lit].append(lits)
+                        continue
+                elif size > 3:
+                    for j in range(2, size):
+                        lit = lits[j]
+                        if lval[lit] >= 0:
+                            break
+                    else:
+                        j = 0
+                    if j:
                         lits[1] = lit
                         lits[j] = false_lit
                         watches[lit].append(lits)
-                        break
-                else:
-                    kept.append(lits)
-                    if lval[first]:  # false: every literal is false
-                        self.qhead = len(trail)
-                        watch[:] = kept + watch[w + 1:]
-                        return lits
-                    lval[first] = 1
-                    lval[-first] = -1
-                    v = first if first > 0 else -first
-                    level[v] = lvl
-                    reason[v] = lits
-                    phase[v] = 1 if first > 0 else -1
-                    trail.append(first)
-            watch[:] = kept
+                        continue
+                watch[kept] = lits
+                kept += 1
+                if lval[first]:  # false: every literal is false
+                    del watch[kept:i + 1]
+                    self.propagations += qhead - start
+                    self.qhead = len(trail)
+                    return lits
+                lval[first] = 1
+                lval[-first] = -1
+                v = first if first > 0 else -first
+                level[v] = lvl
+                reason[v] = lits
+                phase[v] = 1 if first > 0 else -1
+                trail.append(first)
+            del watch[kept:]
+        self.propagations += qhead - start
         self.qhead = qhead
         return None
 
     # -- conflict analysis -------------------------------------------------
 
-    def _bump(self, v: int) -> None:
-        self.activity[v] += self.inc
-        if self.activity[v] > _RESCALE:
-            for u in range(1, self.nvars + 1):
-                self.activity[u] /= _RESCALE
-            self.inc /= _RESCALE
-        heappush(self.heap, (-self.activity[v], v))
+    def _rescale(self) -> None:
+        """Scale every activity down; every heap key changes with it."""
+        activity, nvars = self.activity, self.nvars
+        for u in range(1, nvars + 1):
+            activity[u] /= _RESCALE
+        self.inc /= _RESCALE
+        self.heap[:] = [(-activity[u], u) for u in range(1, nvars + 1)]
+        heapify(self.heap)
+        self.inheap[:] = [True] * (nvars + 1)
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         seen = [False] * (self.nvars + 1)
         level, reason, trail = self.level, self.reason, self.trail
+        activity, inheap, inc = self.activity, self.inheap, self.inc
         learnt = [0]  # slot for the asserting literal
         cur_level = len(self.lim)
         counter = 0
@@ -163,7 +199,12 @@ class Solver:
                 v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
+                    # bump: v is assigned, so its heap entry goes stale
+                    act = activity[v] = activity[v] + inc
+                    inheap[v] = False
+                    if act > _RESCALE:
+                        self._rescale()
+                        inc = self.inc
                     if level[v] == cur_level:
                         counter += 1
                     else:
@@ -171,46 +212,59 @@ class Solver:
             while True:
                 idx -= 1
                 p = trail[idx]
-                if seen[abs(p)]:
+                v = p if p > 0 else -p
+                if seen[v]:
                     break
-            seen[abs(p)] = False
+            seen[v] = False
             counter -= 1
             if counter == 0:
                 break
-            confl = reason[abs(p)]
+            confl = reason[v]
         learnt[0] = -p
         back = 0
-        if len(learnt) > 1:
-            j = max(range(1, len(learnt)),
-                    key=lambda i: level[abs(learnt[i])])
+        # the first literal of the highest remaining level becomes the
+        # second watch, learnt[1]; that level is where to backjump
+        j = 0
+        for i in range(1, len(learnt)):
+            q = learnt[i]
+            lv = level[q if q > 0 else -q]
+            if lv > back:
+                back, j = lv, i
+        if j:
             learnt[1], learnt[j] = learnt[j], learnt[1]
-            back = level[abs(learnt[1])]
         return learnt, back
 
     def _backtrack(self, target: int) -> None:
-        if target >= len(self.lim):
+        lim = self.lim
+        if target >= len(lim):
             return
-        keep = self.lim[target]
-        lval, activity, heap = self.lval, self.activity, self.heap
-        for lit in reversed(self.trail[keep:]):
+        keep = lim[target]
+        trail, lval, activity = self.trail, self.lval, self.activity
+        inheap, heap = self.inheap, self.heap
+        for i in range(keep, len(trail)):
+            lit = trail[i]
             lval[lit] = lval[-lit] = 0
             v = lit if lit > 0 else -lit
-            heappush(heap, (-activity[v], v))
-        del self.trail[keep:]
-        del self.lim[target:]
-        self.qhead = len(self.trail)
+            if not inheap[v]:
+                inheap[v] = True
+                heappush(heap, (-activity[v], v))
+        del trail[keep:]
+        del lim[target:]
+        self.qhead = keep
 
     # -- main loop ---------------------------------------------------------
 
     def _decide(self) -> int:
-        lval, activity, heap = self.lval, self.activity, self.heap
+        """The free variable of highest activity with its saved phase, or
+        0 when every variable is assigned."""
+        lval, activity, inheap, heap = (self.lval, self.activity,
+                                        self.inheap, self.heap)
         while heap:
             act, v = heappop(heap)
-            if lval[v] == 0 and -act == activity[v]:
-                return v * self.phase[v]
-        for v in range(1, self.nvars + 1):  # heap entries can go stale
-            if lval[v] == 0:
-                return v * self.phase[v]
+            if -act == activity[v]:  # the live entry; the rest are stale
+                inheap[v] = False
+                if not lval[v]:
+                    return v * self.phase[v]
         return 0
 
     def solve(self, conflict_limit: Optional[int] = None) -> Optional[bool]:
@@ -255,6 +309,7 @@ class Solver:
                     self._model = [x > 0 for x in self.lval[:self.nvars + 1]]
                     self._backtrack(0)
                     return True
+                self.decisions += 1
                 self.lim.append(len(self.trail))
                 self._enqueue(lit, None)
 

@@ -169,6 +169,9 @@ def _cmd_reduce(args, t0) -> int:
 
 def _cmd_gadget_verify(args, t0) -> int:
     if args.name == "tree-triple":
+        if args.no_symmetry:
+            raise _CliError("--no-symmetry does not apply to tree-triple: "
+                            "its uniqueness is not up to a symmetry")
         triple = tuple(map(caterpillar_of, TREE_GADGET))
         sym = NO_SYMMETRY
         verify = partial(verify_tree_uniqueness, triple)
@@ -299,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="re-verify a uniqueness gadget by enumeration")
     p.add_argument("name", choices=("pi5", "pi6", "pi9", "tree-triple"))
     p.add_argument("--no-symmetry", action="store_true",
-                   help="report raw solutions without quotienting")
+                   help="report raw solutions without quotienting "
+                   "(ordering gadgets only)")
     p.add_argument("--node-limit", type=int, default=None,
                    help="give up (exit 2) after this many CDCL conflicts, "
                    "summed over the enumeration")

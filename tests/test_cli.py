@@ -172,6 +172,14 @@ def test_gadget_verify_tree_triple_budget_unknown(capsys):
     assert len(report["result"]["trees"]) == 3
 
 
+def test_gadget_verify_tree_triple_rejects_no_symmetry(capsys):
+    code, report = run(capsys, "gadget-verify", "tree-triple",
+                       "--no-symmetry")
+    assert code == 2
+    assert "--no-symmetry" in report["error"]
+    assert "result" not in report
+
+
 # ---------------------------------------------------------------------------
 # tau
 

@@ -4,8 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from triord import _sat
 from triord._sat import Solver
+from triord.extremal import full_triplet_set
+from triord.gadgets import builtin_gadget, gadget_instance
+from triord.phylo import _TreeCoverCnf
+from triord.solver import _PairOrderCnf
 
 
 def brute_sat(nvars, clauses):
@@ -177,3 +184,144 @@ def test_literals_outside_the_variables_rejected():
         s = Solver(2)
         with pytest.raises(ValueError):
             s.add_clause([1, lit])
+
+
+def truth_table_models(nvars, clauses):
+    return {bits for bits in itertools.product([False, True], repeat=nvars)
+            if all(any((lit > 0) == bits[abs(lit) - 1] for lit in c)
+                   for c in clauses)}
+
+
+def assert_matches_truth_table(s, res, nvars, clauses):
+    assert res == brute_sat(nvars, clauses), clauses
+    if res:
+        model = s.model()
+        assert all(any((lit > 0) == model[abs(lit)] for lit in c)
+                   for c in clauses)
+
+
+@st.composite
+def formulas(draw):
+    """3-10 variables; clauses of 1-6 distinct variables, a first batch and
+    a batch to add after a solve."""
+    nvars = draw(st.integers(3, 10))
+    var_sets = st.lists(st.integers(1, nvars), min_size=1,
+                        max_size=min(6, nvars), unique=True)
+    clause = var_sets.flatmap(lambda vs: st.lists(
+        st.sampled_from((-1, 1)), min_size=len(vs), max_size=len(vs)).map(
+            lambda signs: [v * sg for v, sg in zip(vs, signs)]))
+    first = draw(st.lists(clause, min_size=1, max_size=5 * nvars))
+    later = draw(st.lists(clause, max_size=2 * nvars))
+    return nvars, first, later
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas())
+def test_solver_against_truth_tables_with_wide_clauses(formula):
+    # clauses of four or more literals, here and in the blocking clauses
+    # below, take propagation's general watch branch, which the encoders'
+    # ternary clauses never reach
+    nvars, first, later = formula
+    s = Solver(nvars)
+    for c in first:
+        s.add_clause(c)
+    assert_matches_truth_table(s, s.solve(), nvars, first)
+    for c in later:
+        s.add_clause(c)
+    models = truth_table_models(nvars, first + later)
+    found = set()
+    while len(found) < 40 and s.solve():
+        model = tuple(s.model()[1:])
+        assert model in models and model not in found
+        found.add(model)
+        s.add_clause([-v if bit else v for v, bit in enumerate(model, 1)])
+    assert len(found) == min(len(models), 40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas())
+def test_solve_resumed_one_conflict_at_a_time(formula):
+    # each early return leaves the heap, trail and watches for the next
+    # call; learnt clauses are kept, so the answer is reached
+    nvars, first, later = formula
+    s = Solver(nvars)
+    for c in first + later:
+        s.add_clause(c)
+    for _ in range(3 ** nvars):
+        res = s.solve(conflict_limit=1)
+        if res is not None:
+            break
+    assert_matches_truth_table(s, res, nvars, first + later)
+
+
+def test_rescale_keeps_every_free_variable_decidable(monkeypatch):
+    # vars 1 and 2 are bumped and freed again; then bumping var 4 past
+    # the bound rescales every activity while 1, 2 and 3 are free, so
+    # each of them must be found in activity order
+    monkeypatch.setattr(_sat, "_RESCALE", 100.0)
+    s = Solver(4)
+    for lit in (-4, -1, -2):  # decisions at levels 1, 2, 3
+        s.lim.append(len(s.trail))
+        s._enqueue(lit, None)
+    s.inc = 1.0
+    s._analyze([1, 2])
+    s.inc = 4.0
+    s._analyze([2])
+    s._backtrack(1)
+    s.inc = 101.0
+    s._analyze([4])
+    assert s.activity[1:] == [0.01, 0.05, 0.0, 1.01]
+    s._backtrack(0)
+    order = []
+    while lit := s._decide():
+        order.append(abs(lit))
+        s.lim.append(len(s.trail))
+        s._enqueue(lit, None)
+    assert order == [4, 2, 1, 3]
+
+
+def test_heap_invariant_under_a_tiny_rescale_bound(monkeypatch):
+    # before every decision each free variable has its live heap entry,
+    # so none is lost to a rescale however often one happens
+    monkeypatch.setattr(_sat, "_RESCALE", 4.0)
+    rng = random.Random(17)
+    rescaled = False
+    for _ in range(150):
+        nvars = rng.randrange(6, 11)
+        clauses = [[v * rng.choice([-1, 1])
+                    for v in rng.sample(range(1, nvars + 1), 3)]
+                   for _ in range(rng.randrange(3 * nvars, 6 * nvars))]
+        s = Solver(nvars)
+        for c in clauses:
+            s.add_clause(c)
+        decide = s._decide
+
+        def checked_decide():
+            live = {v for act, v in s.heap if -act == s.activity[v]}
+            for v in range(1, nvars + 1):
+                if not s.lval[v]:
+                    assert s.inheap[v] and v in live, v
+            return decide()
+
+        s._decide = checked_decide
+        assert_matches_truth_table(s, s.solve(), nvars, clauses)
+        rescaled = rescaled or s.inc < 1.0
+    assert rescaled
+
+
+def test_search_counters_on_fixed_cases():
+    # (conflicts, decisions, propagations) fingerprint the search itself:
+    # a change to the solver's bookkeeping must leave them where they are
+    cnf = _TreeCoverCnf(sorted(full_triplet_set(6)), 4, False)
+    assert cnf.next(None) is not None  # tau(6) <= 4
+    s = cnf.sat
+    assert (s.conflicts, s.decisions, s.propagations) == (6, 28, 506)
+    gens, fam, k, _ = builtin_gadget("pi9")
+    cnf = _PairOrderCnf(gadget_instance(list(gens), fam, k))
+    count = 0
+    while (sol := cnf.next(None)) is not None:
+        count += 1
+        cnf.block(sol)
+    s = cnf.sat
+    assert count == 4
+    assert (s.conflicts, s.decisions, s.propagations) == (452, 1388, 21728)
