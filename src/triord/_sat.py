@@ -76,19 +76,27 @@ class Solver:
         n = self.nvars
         out = []
         for lit in lits:
-            if not 0 < abs(lit) <= n:
+            if lit > n or lit < -n or not lit:
                 raise ValueError(f"literal {lit} outside variables 1..{n}")
             val = lval[lit]
-            if val > 0 or -lit in out:
-                return  # tautological or already satisfied at root level
-            if not val and lit not in out:
+            if val:
+                if val > 0:
+                    return  # already satisfied at root level
+            # out holds free literals only, so a false literal (whose
+            # negation is true) can neither repeat nor complete a tautology
+            elif lit not in out:
+                if -lit in out:
+                    return  # tautological
                 out.append(lit)
-        if not out:
-            self.ok = False
-        elif len(out) == 1:
+        if len(out) > 1:
+            self.clauses.append(out)
+            watches = self.watches
+            watches[out[0]].append(out)
+            watches[out[1]].append(out)
+        elif out:
             self.ok = self._enqueue(out[0], None) and self._propagate() is None
         else:
-            self._attach(out)
+            self.ok = False
 
     def _attach(self, lits: list[int]) -> list[int]:
         self.clauses.append(lits)

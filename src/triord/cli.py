@@ -1,10 +1,11 @@
 """Command-line frontend.
 
-Every subcommand prints one JSON report (``"schema": 1``) to stdout and
+Every subcommand prints one JSON report (``"schema": 1``) to stdout, on
+one line (pipe it through ``python -m json.tool`` to indent it), and
 exits with 0 for a positive mathematical answer (satisfiable / unique /
 compatible / decided value), 1 for a negative one, and 2 for unknown
 answers and errors.  Timings and node counts appear in the report but
-never influence the exit code.
+never influence the exit code.  A negative ``--node-limit`` is an error.
 
 File formats: ``.csp`` ordering instances, ``.trip`` triplet lists,
 Newick trees, DOT digraphs, and LP model export.
@@ -67,8 +68,7 @@ def _emit(args, payload: dict, t0: float, digest: str) -> None:
         "result": payload,
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +334,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     t0 = time.monotonic()
     try:
+        if getattr(args, "node_limit", None) is not None \
+                and args.node_limit < 0:
+            raise _CliError("--node-limit must be >= 0")
         return args.func(args, t0)
     except _CliError as e:
-        json.dump({"schema": 1, "command": args.command,
-                   "error": str(e)}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps({"schema": 1, "command": args.command,
+                                     "error": str(e)}) + "\n")
         return EXIT_UNKNOWN
 
 

@@ -153,32 +153,31 @@ class _PairOrderCnf:
         vidx = {v: i for i, v in enumerate(vars_)}
         self.pairs = list(combinations(range(n), 2))
         npairs = len(self.pairs)
-        pair_id = {p: i for i, p in enumerate(self.pairs)}
-
-        def before(u: int, v: int, t: int) -> int:
-            if u < v:
-                return 1 + pair_id[(u, v)] * k + t
-            return -(1 + pair_id[(v, u)] * k + t)
-
-        def selector(ci: int, t: int) -> int:
-            return npairs * k + ci * k + t + 1
+        # before[t][u][v]: the literal "u precedes v in slot t"
+        before = [[[0] * n for _ in range(n)] for _ in range(k)]
+        for p, (i, j) in enumerate(self.pairs):
+            for t in range(k):
+                lit = 1 + p * k + t
+                before[t][i][j] = lit
+                before[t][j][i] = -lit
 
         self.sat = sat = _CnfSolver(npairs * k + len(inst.constraints) * k)
+        add = sat.add_clause
         for i, j, l in combinations(range(n), 3):
-            for t in range(k):
-                ij, jl, il = before(i, j, t), before(j, l, t), before(i, l, t)
-                sat.add_clause([-ij, -jl, il])
-                sat.add_clause([ij, jl, -il])
+            for b in before:
+                ij, jl, il = b[i][j], b[j][l], b[i][l]
+                add([-ij, -jl, il])
+                add([ij, jl, -il])
         allowed = {tuple(p) for p in inst.pi.perms}
         for ci, c in enumerate(inst.constraints):
+            sel = npairs * k + ci * k + 1  # selector (ci, t) is sel + t
             for p in permutations((1, 2, 3)):
                 if p in allowed:
                     continue
                 u, v, w = (vidx[c[s - 1]] for s in p)
-                for t in range(k):
-                    sat.add_clause([-selector(ci, t), -before(u, v, t),
-                                    -before(v, w, t)])
-            sat.add_clause([selector(ci, t) for t in range(k)])
+                for t, b in enumerate(before):
+                    add([-sel - t, -b[u][v], -b[v][w]])
+            add(list(range(sel, sel + k)))
 
     def next(self, node_limit: Optional[int]) -> Optional[Solution]:
         """A checked solution not blocked yet, or None when none is left.

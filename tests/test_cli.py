@@ -1,9 +1,13 @@
 """End-to-end command-line tests: exit codes, JSON reports, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import triord
 from triord.cli import main
 from triord.extremal import full_triplet_set
 from triord.gadgets import PI6_GADGET, gadget_instance
@@ -320,3 +324,117 @@ def test_reports_stable_across_runs(tmp_path, capsys):
         return report
 
     assert snapshot() == snapshot()
+
+
+# ---------------------------------------------------------------------------
+# --node-limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{csp}", "--node-limit", "-1"],
+    ["solve", "{csp}", "--mode", "exhaustive", "--node-limit", "-1"],
+    ["solve", "{csp}", "--enumerate", "--node-limit", "-5"],
+    ["gadget-verify", "pi5", "--node-limit", "-1"],
+    ["tau", "--n", "4", "--node-limit", "-1"],
+    ["tau", "--n", "4", "--k", "3", "--node-limit", "-1"],
+])
+def test_negative_node_limit_rejected(tmp_path, capsys, argv):
+    # refused before any search, so the outcome cannot depend on the engine
+    f = tmp_path / "one.csp"
+    f.write_text(format_instance(make_instance(5, 1, [1, 2, 3], [(1, 2, 3)])))
+    code, report = run(capsys, *(a.format(csp=f) for a in argv))
+    assert code == 2
+    assert "--node-limit" in report["error"]
+    assert "result" not in report
+
+
+def test_zero_node_limit_allows_no_conflict(tmp_path, capsys):
+    f = tmp_path / "one.csp"
+    f.write_text(format_instance(make_instance(5, 1, [1, 2, 3], [(1, 2, 3)])))
+    code, report = run(capsys, "solve", str(f), "--node-limit", "0")
+    assert code == 0 and report["result"]["satisfiable"] is True
+    code, report = run(capsys, "tau", "--n", "6", "--k", "4",
+                       "--node-limit", "0")
+    assert code == 2 and report["result"]["decision"] is None
+
+
+# ---------------------------------------------------------------------------
+# the parser built once at import, and the real entry point
+
+
+def fresh(*argv):
+    """Exit code and stdout of ``python -m triord.cli`` in a new
+    interpreter."""
+    src = os.path.dirname(os.path.dirname(triord.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "triord.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def without_time(report):
+    report.pop("wall_time_s", None)
+    return report
+
+
+def test_shared_parser_leaks_no_state(tmp_path, capsys):
+    trip = tmp_path / "f.trip"
+    trip.write_text(format_triplets(SEPARATING))
+    csp = tmp_path / "x.csp"
+    csp.write_text(format_instance(
+        make_instance(5, 1, [1, 2, 3], [(1, 2, 3)])))
+    calls = [
+        ["compat", str(trip), "--k", "2", "--caterpillar"],
+        ["compat", str(trip), "--k", "2"],
+        ["solve", str(csp), "--enumerate"],
+        ["solve", str(csp)],
+    ]
+    got = []
+    for argv in calls[:2]:
+        got.append(run(capsys, *argv))
+    with pytest.raises(SystemExit) as e:  # argparse rejects the flag
+        main(["solve", str(csp), "--no-such-flag"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    for argv in calls[2:]:
+        got.append(run(capsys, *argv))
+    assert got[1][1]["result"]["caterpillar"] is False
+    assert "solutions" in got[2][1]["result"]
+    assert "solutions" not in got[3][1]["result"]
+    for argv, (code, report) in zip(calls, got):
+        fresh_code, out = fresh(*argv)
+        assert (code, without_time(report)) == \
+            (fresh_code, without_time(json.loads(out)))
+
+
+def test_entry_point_prints_one_json_line(tmp_path):
+    csp = tmp_path / "x.csp"
+    csp.write_text(format_instance(
+        make_instance(0, 1, [1, 2, 3], [(1, 2, 3), (2, 1, 3)])))
+    trip = tmp_path / "f.trip"
+    trip.write_text(format_triplets(SEPARATING))
+    one = tmp_path / "one.trip"
+    one.write_text(format_triplets([triplet("x", "y", "z")]))
+    dot = tmp_path / "g.dot"
+    dot.write_text(to_dot(Digraph(frozenset([1, 2]),
+                                  frozenset([(1, 2), (2, 1)]))))
+    cases = [
+        (["solve", str(csp)], 1),
+        (["reduce", "2cat-to-3tree", str(one), str(tmp_path / "o.trip")],
+         0),
+        (["gadget-verify", "pi6"], 0),
+        (["tau", "--n", "6", "--k", "4", "--node-limit", "2"], 2),
+        (["tau", "--n", "4", "--node-limit", "-1"], 2),
+        (["compat", str(trip), "--k", "2", "--caterpillar"], 1),
+        (["dicolor", str(dot)], 0),
+    ]
+    for argv, want in cases:
+        code, out = fresh(*argv)
+        assert code == want, argv
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        assert json.loads(out)["command"] == argv[0]
+    assert fresh("-h")[0] == 0
+    assert fresh("solve", str(csp), "--no-such-flag") == (2, "")

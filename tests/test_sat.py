@@ -1,5 +1,6 @@
 """The internal CNF solver, checked against truth-table enumeration."""
 
+import hashlib
 import itertools
 import random
 
@@ -11,7 +12,9 @@ from triord import _sat
 from triord._sat import Solver
 from triord.extremal import full_triplet_set
 from triord.gadgets import builtin_gadget, gadget_instance
+from triord.orderings import make_instance
 from triord.phylo import _TreeCoverCnf
+from triord.reductions import reduce_1pi5_to_2pi9
 from triord.solver import _PairOrderCnf
 
 
@@ -325,3 +328,113 @@ def test_search_counters_on_fixed_cases():
     s = cnf.sat
     assert count == 4
     assert (s.conflicts, s.decisions, s.propagations) == (452, 1388, 21728)
+
+
+# ---------------------------------------------------------------------------
+# The clause path: what add_clause keeps, and what the encoders emit
+
+
+def reference_filter(nvars, lval, lits):
+    """What add_clause keeps of ``lits`` at the root assignment ``lval``,
+    written plainly: ValueError for a literal outside the variables, None
+    for a clause satisfied at root or tautological, else the free literals
+    in first-seen order without repeats.  Literals are read in order and
+    the first verdict wins."""
+    kept = []
+    for lit in lits:
+        if lit == 0 or abs(lit) > nvars:
+            return ValueError
+        value = lval[abs(lit)] * (1 if lit > 0 else -1)
+        if value > 0 or -lit in kept:
+            return None
+        if value == 0 and lit not in kept:
+            kept.append(lit)
+    return kept
+
+
+def solver_state(s):
+    return (s.ok, list(s.lval), list(s.trail), list(s.level), list(s.reason),
+            [list(c) for c in s.clauses], [list(w) for w in s.watches])
+
+
+@st.composite
+def root_states_and_clauses(draw):
+    """A solver's set-up (root units, then wider clauses that may
+    propagate) and one more clause with literals 0 and +-(n + 1),
+    repeats, tautologies, and literals fixed at root."""
+    nvars = draw(st.integers(1, 6))
+    literal = st.integers(1, nvars).flatmap(
+        lambda v: st.sampled_from((v, -v)))
+    units = [v * draw(st.sampled_from((-1, 1))) for v in draw(
+        st.lists(st.integers(1, nvars), max_size=nvars, unique=True))]
+    wide = draw(st.lists(st.lists(literal, min_size=2, max_size=4),
+                         max_size=6))
+    # in-range literals come up twice as often as 0 and +-(n + 1), and
+    # root-fixed ones more often still
+    lits = [v for v in range(-nvars, nvars + 1) if v]
+    pool = [0, nvars + 1, -nvars - 1, *lits, *lits, *units,
+            *(-u for u in units)]
+    clause = draw(st.lists(st.sampled_from(pool), max_size=7))
+    return nvars, units, wide, clause
+
+
+@settings(max_examples=400, deadline=None)
+@given(root_states_and_clauses())
+def test_add_clause_against_reference_filter(case):
+    nvars, units, wide, clause = case
+    s, twin = Solver(nvars), Solver(nvars)
+    for c in [[u] for u in units] + wide:
+        s.add_clause(c)
+        twin.add_clause(c)
+    want = reference_filter(nvars, [0] + s.lval[1:nvars + 1], clause)
+    if not s.ok:  # an unsatisfiable solver ignores every clause
+        want = None
+    if want is ValueError:
+        with pytest.raises(ValueError):
+            s.add_clause(clause)
+    else:
+        s.add_clause(clause)
+        # the effect of the kept literals, spelt out on the twin
+        if want == []:
+            twin.ok = False
+        elif want is not None and len(want) == 1:
+            twin.ok = twin._enqueue(want[0], None) and \
+                twin._propagate() is None
+        elif want is not None:
+            twin.clauses.append(want)
+            twin.watches[want[0]].append(want)
+            twin.watches[want[1]].append(want)
+            new = s.clauses[-1]
+            assert new is not clause
+            assert s.watches[want[0]][-1] is new
+            assert s.watches[want[1]][-1] is new
+    assert solver_state(s) == solver_state(twin)
+
+
+def cnf_fingerprint(sat):
+    return hashlib.sha256(repr(
+        (sat.nvars, [tuple(c) for c in sat.clauses])).encode()).hexdigest()
+
+
+def pi9_gadget():
+    gens, fam, k, _ = builtin_gadget("pi9")
+    return _PairOrderCnf(gadget_instance(list(gens), fam, k))
+
+
+@pytest.mark.parametrize("build, digest", [
+    (pi9_gadget,
+     "f334a6a1a522d03ca17f16421dde9b68895e3b4b86291172e0eb66d84b2b38f2"),
+    (lambda: _PairOrderCnf(reduce_1pi5_to_2pi9(make_instance(
+        5, 1, range(1, 5), [(1, 2, 3), (2, 3, 4)]))),
+     "626bc8749c5fd3dd95456b7bdc2cffbc0776ad3b50c3cbbcdc3cdc29f3a8bc01"),
+    (lambda: _PairOrderCnf(make_instance(
+        5, 3, range(1, 7), [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6),
+                            (6, 1, 2), (5, 2, 1)])),
+     "586df3894a7e41068b10e746715424e5b4ae28c73ad978555006e99febf958cd"),
+    (lambda: _TreeCoverCnf(sorted(full_triplet_set(6)), 4, False),
+     "2d42ad3b114c742a7585d3b28c65c640264aa825a902766715486bfeaacc2bd0"),
+], ids=["pi9-gadget", "1pi5-to-2pi9", "k3", "tau6-le-4"])
+def test_encoders_emit_the_recorded_clauses(build, digest):
+    # sha256 of (nvars, every stored clause in order): work on the encoders
+    # or on add_clause must leave the solver's input exactly as it is
+    assert cnf_fingerprint(build().sat) == digest
