@@ -284,8 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--enumerate", action="store_true",
                    help="list every solution multiset")
-    p.add_argument("--mode", choices=("branch_and_bound", "exhaustive"),
-                   default="branch_and_bound")
+    p.add_argument("--mode", choices=("cdcl", "exhaustive",
+                                      "branch_and_bound"),
+                   default="cdcl",
+                   help="cdcl: the CDCL solver over the pair-order CNF "
+                   "(branch_and_bound is an older name for it); "
+                   "exhaustive: scan every multiset of k orderings")
     p.add_argument("--node-limit", type=int, default=None,
                    help="give up (exit 2) after this many CDCL conflicts, "
                    "summed over the enumeration with --enumerate; search "

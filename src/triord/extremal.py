@@ -14,8 +14,12 @@ orientation, constrained by
       characterizes the displayed sets of trees,
   (5) in caterpillar mode, the one-cherry rule: never both ab|c and cd|a.
 
-The same model can be written out in LP text format for an external
-solver; both take constraints (3)-(5) from ``phylo.four_leaf_closure``.
+The CDCL model also breaks slot symmetry without loss of generality: the
+three orientations of the first leaf triple go to slots 0, 1 and 2 (the
+first min(k, 3) of them; see ``_TreeCoverCnf``), so k <= 2 is refuted at
+the root.  The same model, without that predicate, can be written out in
+LP text format for an external solver; both take constraints (3)-(5) from
+``phylo.four_leaf_closure``.
 
 The module also carries the surrounding machinery: the logarithmic upper
 bound on tau_c with its constructive greedy caterpillar cover (each round

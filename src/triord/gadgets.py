@@ -116,7 +116,7 @@ def verify_uniqueness(generators: list[LinearOrdering], pi, k: int,
     """Enumerate all solutions of the gadget instance and compare with the
     generator multiset modulo the given symmetry."""
     inst = gadget_instance(generators, pi, k)
-    cfg = SolverConfig(mode="branch_and_bound", node_limit=node_limit)
+    cfg = SolverConfig(node_limit=node_limit)
     found = enumerate_solutions(inst, cfg)
     expected = (Solution(generators),)
     found_q = {sym.canonical(s) for s in found}

@@ -576,8 +576,20 @@ class _TreeCoverCnf:
     One variable per orientation row of each leaf triple (see _orient)
     per tree slot, constrained by the four-leaf closure: k closed
     orientations that each pick the input triplets somewhere are
-    precisely a k-tree cover.  Row i in slot b is variable 1 + i * k + b;
-    the first triplet is covered in slot 0 without loss of generality.
+    precisely a k-tree cover.  Row i in slot b is variable 1 + i * k + b.
+
+    Slot symmetry is broken by root unit clauses.  Group the distinct
+    input triplets by leaf triple and take the largest group, the first
+    in input order on a tie; its first min(k, size) triplets go to slots
+    0, 1, ... in turn.  This loses no cover: a tree displays at most one
+    orientation of a leaf triple, so in any cover the group's triplets
+    are displayed by pairwise distinct trees, and permuting the slots
+    puts those trees in slots 0, 1, ...  Every multiset of trees thus
+    keeps a slot arrangement that meets the pins, and ``block`` removes
+    all of its arrangements.  A group larger than k has no cover, and
+    with a full leaf triple and k <= 2 the pins refute the formula at the
+    root.  With no leaf triple carrying two input triplets, the rule
+    puts the first triplet in slot 0.
     """
 
     def __init__(self, triplets: list, k: int, caterpillars: bool = False):
@@ -627,7 +639,11 @@ class _TreeCoverCnf:
         covers = [self.row_of[triplet(*t)] for t in triplets]
         for i in covers:
             sat.add_clause(pos[i])
-        sat.add_clause([pos[covers[0]][0]])  # WLOG the first slot covers it
+        groups: dict = {}  # leaf triple -> its distinct input rows
+        for i in dict.fromkeys(covers):
+            groups.setdefault(i // 3, []).append(i)
+        for b, i in enumerate(max(groups.values(), key=len)[:k]):
+            sat.add_clause([pos[i][b]])  # WLOG, see the class docstring
 
     def next(self, node_limit: Optional[int]) -> Optional[list[RootedTree]]:
         """The checked trees of a cover not blocked yet, slot by slot, or

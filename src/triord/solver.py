@@ -9,6 +9,8 @@
   solutions SAT solvers", ACM JEA 2016): after each model it blocks every
   slot arrangement of the found multiset and solves again, until the
   formula is unsatisfiable.
+- ``mode="cdcl"`` (the default; ``"branch_and_bound"`` is accepted as an
+  older name for it) runs the two above.
 - ``mode="exhaustive"`` answers both questions by scanning all multisets of
   k full orderings (per-ordering constraint bitmasks, so the inner loop is
   a word OR); it is the independent oracle for the CDCL engine.
@@ -39,12 +41,14 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    mode: str = "branch_and_bound"  # or "exhaustive"
+    mode: str = "cdcl"  # or "exhaustive"; "branch_and_bound" reads as "cdcl"
     # CDCL conflicts by default, search nodes in exhaustive mode
     node_limit: Optional[int] = None
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "branch_and_bound"):
+        if self.mode == "branch_and_bound":
+            object.__setattr__(self, "mode", "cdcl")
+        if self.mode not in ("exhaustive", "cdcl"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -94,13 +98,26 @@ def check_solution(inst: Instance, sol: Solution) -> bool:
 
 
 def _constraint_masks(inst: Instance, perms):
-    """Bitmask of satisfied constraints for each full ordering."""
+    """Bitmask of satisfied constraints for each full ordering.
+
+    Under an ordering, constraint (x, y, z) matches exactly one pattern,
+    its symbols listed by increasing position, and the three comparisons
+    x < y, y < z, x < z of their positions name that pattern.  So the
+    family becomes one set of 3-bit comparison codes, and each
+    constraint costs three position lookups and one bit test."""
+    allowed = 0
+    for p in inst.pi.perms:
+        a, b, c = p.index(1), p.index(2), p.index(3)  # ranks of x, y, z
+        allowed |= 1 << ((a < b) << 2 | (b < c) << 1 | (a < c))
+    bits = [(1 << ci, c) for ci, c in enumerate(inst.constraints)]
     masks = []
     for alpha in perms:
+        pos = alpha.inverse
         m = 0
-        for ci, c in enumerate(inst.constraints):
-            if satisfies(inst.pi, alpha, c):
-                m |= 1 << ci
+        for bit, (x, y, z) in bits:
+            a, b, c = pos[x], pos[y], pos[z]
+            if allowed >> ((a < b) << 2 | (b < c) << 1 | (a < c)) & 1:
+                m |= bit
         masks.append(m)
     return masks
 
@@ -144,7 +161,14 @@ class _PairOrderCnf:
     variable pairs; selector (ci, t) says that constraint ci matches an
     allowed pattern in slot t, and every constraint needs a selector.
     Pair (i, j), i < j, in slot t is variable 1 + pair_index * k + t, true
-    when i precedes j."""
+    when i precedes j.
+
+    Slot symmetry is broken by one root unit clause: constraint 0 holds
+    in slot 0.  This loses no solution: some order of any solution
+    satisfies constraint 0, and permuting the slots puts it in slot 0, so
+    every multiset keeps a slot arrangement that meets the pin, and
+    ``block`` removes all of its arrangements.  With k = 1 the pin is the
+    at-least-one clause of constraint 0, so the CNF does not change."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -178,6 +202,8 @@ class _PairOrderCnf:
                 for t, b in enumerate(before):
                     add([-sel - t, -b[u][v], -b[v][w]])
             add(list(range(sel, sel + k)))
+        if inst.constraints:
+            add([npairs * k + 1])  # selector (0, 0), WLOG: see the docstring
 
     def next(self, node_limit: Optional[int]) -> Optional[Solution]:
         """A checked solution not blocked yet, or None when none is left.

@@ -63,6 +63,20 @@ def test_solve_unsatisfiable(tmp_path, capsys):
     assert report["result"]["satisfiable"] is False
 
 
+def test_solve_mode_cdcl_and_its_older_name(tmp_path, capsys):
+    inst = gadget_instance(list(PI6_GADGET), 6, 2)
+    f = tmp_path / "gadget_pi6.csp"
+    f.write_text(format_instance(inst))
+    reports = []
+    for mode in ("cdcl", "branch_and_bound", None):
+        flags = ["--mode", mode] if mode else []
+        code, report = run(capsys, "solve", str(f), "--enumerate", *flags)
+        assert code == 0
+        report.pop("wall_time_s")
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_solve_malformed_file(tmp_path, capsys):
     f = tmp_path / "bad.csp"
     f.write_text("pi 5\nc 1 2\n")

@@ -153,11 +153,11 @@ def test_tau_decision_budget():
 
 
 def test_tau_decision_budget_counts_analysed_conflicts():
-    # deciding tau(6) <= 4 takes 6 conflicts: a budget of 6 is enough
-    assert tau_decision(6, 4).nodes == 6
-    assert tau_decision(6, 4, node_limit=6).answer is True
-    d = tau_decision(6, 4, node_limit=5)
-    assert d.answer is None and d.nodes == 5
+    # deciding tau(6) <= 4 takes 11 conflicts: a budget of 11 is enough
+    assert tau_decision(6, 4).nodes == 11
+    assert tau_decision(6, 4, node_limit=11).answer is True
+    d = tau_decision(6, 4, node_limit=10)
+    assert d.answer is None and d.nodes == 10
     assert tau_decision(6, 4, node_limit=0).nodes == 0
 
 

@@ -276,7 +276,9 @@ def tree_cnf_by_closure(trips, n, k, caterpillars):
     """The tree-cover CNF of triplets over labels 1..n, clause by clause:
     for every leaf triple and slot, exactly one orientation; for every
     quad, its four_leaf_closure instantiated per slot; then one cover
-    clause per triplet and the first slot's unit."""
+    clause per triplet, and the slot pins: the first leaf triple (in
+    input order) among those carrying the most distinct triplets puts
+    its first min(k, size) triplets in slots 0, 1, ..."""
     tid = {t: i for i, t in enumerate(combinations(range(n), 3))}
 
     def var(a, c, w, b):
@@ -295,7 +297,16 @@ def tree_cnf_by_closure(trips, n, k, caterpillars):
                                ([] if r is None else [var(*r, b)]))
     covers = [[var(a - 1, c - 1, w - 1, b) for b in range(k)]
               for a, c, w in trips]
-    return clauses + covers + [[covers[0][0]]]
+    on_triple = {}
+    for t in trips:
+        group = on_triple.setdefault(frozenset(t), [])
+        if t not in group:
+            group.append(t)
+    largest = max(len(g) for g in on_triple.values())
+    group = next(g for g in on_triple.values() if len(g) == largest)
+    pins = [[var(a - 1, c - 1, w - 1, b)]
+            for b, (a, c, w) in enumerate(group[:k])]
+    return clauses + covers + pins
 
 
 def test_tree_cnf_follows_the_closure_generator(monkeypatch):
@@ -343,10 +354,10 @@ def _cover_questions(draw):
     return sorted(trips), k, caterpillars
 
 
-@settings(max_examples=60, deadline=None)
-@given(_cover_questions())
-def test_tree_cnf_enumeration_matches_brute_force(question):
-    trips, k, caterpillars = question
+def assert_enumerates_every_cover(trips, k, caterpillars):
+    """_TreeCoverCnf next/block enumeration lists every multiset of k
+    trees (caterpillars) that displays the triplets, each once, against
+    brute force over every multiset of k trees on the labels."""
     pool = (enumerate_caterpillars if caterpillars else enumerate_trees)(
         triplet_labels(trips))
     shown = [displayed_triplets(t) for t in pool]
@@ -360,6 +371,57 @@ def test_tree_cnf_enumeration_matches_brute_force(question):
         cnf.block(trees)
     assert len(found) == len(set(found))  # no multiset comes back twice
     assert set(found) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cover_questions())
+def test_tree_cnf_enumeration_matches_brute_force(question):
+    assert_enumerates_every_cover(*question)
+
+
+@st.composite
+def _pinned_cover_questions(draw):
+    """(triplets, k, caterpillars) on labels 0..3, in a drawn input order,
+    with two or all three orientations of one leaf triple, so that the
+    slot pins put more than one triplet in place."""
+    x, y, z = draw(st.sampled_from(list(combinations(range(4), 3))))
+    orientations = [triplet(x, y, z), triplet(x, z, y), triplet(y, z, x)]
+    trips = set(draw(st.permutations(orientations))[:draw(st.integers(2, 3))])
+    trips |= draw(st.sets(st.sampled_from(
+        [triplet(a, b, c) for a, b, c in permutations(range(4), 3)]),
+        max_size=4))
+    return (draw(st.permutations(sorted(trips))), draw(st.integers(1, 3)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pinned_cover_questions())
+def test_slot_pins_lose_no_cover(question):
+    assert_enumerates_every_cover(*question)
+
+
+@pytest.mark.parametrize("caterpillars", [False, True])
+def test_slot_pins_lose_no_four_tree_cover(caterpillars):
+    # k = 4 on 4 labels has hundreds of covers, so two fixed sets: every
+    # triplet on 4 labels, and one full leaf triple with three more
+    t4 = [triplet(a, b, c) for a, b, c in permutations(range(1, 5), 3)
+          if a < b]
+    for trips in (t4, [triplet(2, 3, 1), triplet(1, 4, 2), triplet(1, 2, 3),
+                       triplet(3, 4, 1), triplet(1, 3, 2), triplet(2, 4, 3)]):
+        assert_enumerates_every_cover(trips, 4, caterpillars)
+
+
+@pytest.mark.parametrize("caterpillars", [False, True])
+def test_full_leaf_triple_refutes_two_slots_at_the_root(caterpillars):
+    # the pins put two orientations of a leaf triple in slots 0 and 1,
+    # and the third then has no slot: "no" before any search
+    for trips in ([triplet(1, 2, 3), triplet(1, 3, 2), triplet(2, 3, 1)],
+                  [triplet(1, 4, 2), triplet(1, 2, 3), triplet(2, 4, 1),
+                   triplet(1, 2, 4), triplet(2, 3, 4)]):
+        for k in (1, 2):
+            cnf = phylo._TreeCoverCnf(trips, k, caterpillars)
+            assert cnf.next(None) is None
+            assert cnf.sat.conflicts == 0
 
 
 # ---------------------------------------------------------------------------

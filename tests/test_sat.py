@@ -318,7 +318,7 @@ def test_search_counters_on_fixed_cases():
     cnf = _TreeCoverCnf(sorted(full_triplet_set(6)), 4, False)
     assert cnf.next(None) is not None  # tau(6) <= 4
     s = cnf.sat
-    assert (s.conflicts, s.decisions, s.propagations) == (6, 28, 506)
+    assert (s.conflicts, s.decisions, s.propagations) == (11, 30, 591)
     gens, fam, k, _ = builtin_gadget("pi9")
     cnf = _PairOrderCnf(gadget_instance(list(gens), fam, k))
     count = 0
@@ -327,7 +327,7 @@ def test_search_counters_on_fixed_cases():
         cnf.block(sol)
     s = cnf.sat
     assert count == 4
-    assert (s.conflicts, s.decisions, s.propagations) == (452, 1388, 21728)
+    assert (s.conflicts, s.decisions, s.propagations) == (450, 1366, 22909)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +423,16 @@ def pi9_gadget():
 
 @pytest.mark.parametrize("build, digest", [
     (pi9_gadget,
-     "f334a6a1a522d03ca17f16421dde9b68895e3b4b86291172e0eb66d84b2b38f2"),
+     "8544a37a1a07824b8ba376c26fa35f42ef3a71ce75dcccf189114e54c5299399"),
     (lambda: _PairOrderCnf(reduce_1pi5_to_2pi9(make_instance(
         5, 1, range(1, 5), [(1, 2, 3), (2, 3, 4)]))),
-     "626bc8749c5fd3dd95456b7bdc2cffbc0776ad3b50c3cbbcdc3cdc29f3a8bc01"),
+     "24541017b2d2540db4880d163711ca832258c7aac5f7523692794618242cc6b0"),
     (lambda: _PairOrderCnf(make_instance(
         5, 3, range(1, 7), [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6),
                             (6, 1, 2), (5, 2, 1)])),
-     "586df3894a7e41068b10e746715424e5b4ae28c73ad978555006e99febf958cd"),
+     "f72e6ddbdc73f612c42ec16199cb1e46fc32ea54e535e4da387a154f796921f1"),
     (lambda: _TreeCoverCnf(sorted(full_triplet_set(6)), 4, False),
-     "2d42ad3b114c742a7585d3b28c65c640264aa825a902766715486bfeaacc2bd0"),
+     "893fb64ac826a12eb75a90314010a2d407a7d1795d87b76ee1ee31f4b24717c6"),
 ], ids=["pi9-gadget", "1pi5-to-2pi9", "k3", "tau6-le-4"])
 def test_encoders_emit_the_recorded_clauses(build, digest):
     # sha256 of (nvars, every stored clause in order): work on the encoders

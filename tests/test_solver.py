@@ -8,8 +8,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triord import solver
 from triord.orderings import (
-    implied_constraints, make_instance, ordering, pi_family, reversal,
+    LinearOrdering, implied_constraints, make_instance, ordering, pi_family,
+    reversal, satisfies,
 )
 from triord.solver import (
     BudgetExceeded, Solution, SolverConfig, check_solution,
@@ -121,8 +123,8 @@ def test_trivial_families_always_satisfiable():
             assert solve(inst, BNB) is not None
 
 
-@pytest.mark.parametrize("name, conflicts, count", [("pi5", 62, 4),
-                                                    ("pi6", 38, 1)])
+@pytest.mark.parametrize("name, conflicts, count", [("pi5", 43, 4),
+                                                    ("pi6", 20, 1)])
 def test_enumeration_conflict_budget_on_gadgets(name, conflicts, count):
     # the budget caps conflicts summed over every solve of the enumeration
     gens, fam, k, _ = builtin_gadget(name)
@@ -163,3 +165,58 @@ def test_solve_trivial_family_gives_reversal_pair():
     # one node runs out
     with pytest.raises(BudgetExceeded):
         solve(inst, SolverConfig(mode="exhaustive", node_limit=1))
+
+
+def test_cdcl_mode_name_and_its_older_alias():
+    assert SolverConfig().mode == "cdcl"
+    assert SolverConfig(mode="branch_and_bound") == SolverConfig(mode="cdcl")
+    with pytest.raises(ValueError):
+        SolverConfig(mode="bnb")
+
+
+def test_constraint_masks_follow_satisfies():
+    # the exhaustive oracle's bitmasks, against the plain definition
+    rng = random.Random(3)
+    for pi in range(11):
+        for m in (3, 4, 5):
+            inst = make_instance(pi, 1, range(m), [
+                tuple(rng.sample(range(m), 3)) for _ in range(10)])
+            perms = [LinearOrdering(p) for p in permutations(range(m))]
+            assert solver._constraint_masks(inst, perms) == [
+                sum(1 << ci for ci, c in enumerate(inst.constraints)
+                    if satisfies(inst.pi, alpha, c)) for alpha in perms]
+
+
+def logged_pair_order_cnf(monkeypatch, inst):
+    """The CNF of inst, and each add_clause call with the solver's clause
+    count and trail just before it."""
+    log = []
+
+    class LoggedSolver(solver._CnfSolver):
+        def add_clause(self, lits):
+            log.append((list(lits), len(self.clauses), list(self.trail)))
+            super().add_clause(lits)
+
+    monkeypatch.setattr(solver, "_CnfSolver", LoggedSolver)
+    return solver._PairOrderCnf(inst), log
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pair_order_pin_is_constraint_zero_in_slot_zero(monkeypatch, k):
+    cs = [(1, 2, 3), (2, 3, 4), (4, 1, 2)]
+    cnf, log = logged_pair_order_cnf(
+        monkeypatch, make_instance(5, k, range(1, 5), cs))
+    sat = cnf.sat
+    pin = len(cnf.pairs) * k + 1  # selector (0, 0)
+    assert log[-1][0] == [pin]
+    assert pin in sat.trail and sat.level[pin] == 0
+    if k == 1:
+        # the at-least-one clause of constraint 0 is already this unit
+        assert (len(sat.clauses), sat.trail) == log[-1][1:]
+
+
+def test_pair_order_cnf_without_constraints_has_no_pin(monkeypatch):
+    cnf, log = logged_pair_order_cnf(
+        monkeypatch, make_instance(5, 2, range(1, 5), []))
+    assert all(len(lits) == 3 for lits, _, _ in log)  # transitivity only
+    assert cnf.sat.trail == []
