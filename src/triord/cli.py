@@ -241,16 +241,20 @@ def _cmd_compat(args, t0) -> int:
         raise _CliError(f"{args.file}: {e}") from None
     try:
         trees = k_tree_compatible(trips, args.k,
-                                  caterpillars_only=args.caterpillar)
+                                  caterpillars_only=args.caterpillar,
+                                  node_limit=args.node_limit)
+        compatible = trees is not None
     except ValueError as e:
         raise _CliError(str(e)) from None
+    except BudgetExceeded:
+        trees = compatible = None
     _emit(args, {
         "k": args.k, "caterpillar": args.caterpillar,
         "triplets": len(trips),
-        "compatible": trees is not None,
+        "compatible": compatible,
         "trees": None if trees is None else [to_newick(t) for t in trees],
     }, t0, _digest(text))
-    return EXIT_YES if trees is not None else EXIT_NO
+    return {True: EXIT_YES, False: EXIT_NO, None: EXIT_UNKNOWN}[compatible]
 
 
 def _cmd_dicolor(args, t0) -> int:
@@ -329,6 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--caterpillar", action="store_true")
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="give up (exit 2) after this many CDCL conflicts; "
+                   "not with --caterpillar, whose search counts no nodes")
     p.set_defaults(func=_cmd_compat)
 
     p = sub.add_parser("dicolor",

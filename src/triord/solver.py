@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from ._sat import Solver as _CnfSolver
+from ._sat import Solver as _CnfSolver, Templates as _Templates
 from .orderings import (
     TRIVIAL_2ORDER, Instance, LinearOrdering, reversal, satisfies,
 )
@@ -168,7 +168,18 @@ class _PairOrderCnf:
     satisfies constraint 0, and permuting the slots puts it in slot 0, so
     every multiset keeps a slot arrangement that meets the pin, and
     ``block`` removes all of its arrangements.  With k = 1 the pin is the
-    at-least-one clause of constraint 0, so the CNF does not change."""
+    at-least-one clause of constraint 0, so the CNF does not change.
+
+    The transitivity clauses come first and depend only on (n, k).  The
+    first instance of such a shape adds them through add_clause and
+    keeps a snapshot of them in ``templates``, keyed by (n, k); later
+    instances load it (see _sat) into their own solver, whose selector
+    variables follow the pairs whatever their number, and get the same
+    solver, watch order included."""
+
+    #: transitivity snapshots by (variables, k), up to 2^20 literals: 13
+    #: variables at k = 2 have 3,432 (9 kB with the widths)
+    templates = _Templates(1 << 20)
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -187,11 +198,16 @@ class _PairOrderCnf:
 
         self.sat = sat = _CnfSolver(npairs * k + len(inst.constraints) * k)
         add = sat.add_clause
-        for i, j, l in combinations(range(n), 3):
-            for b in before:
-                ij, jl, il = b[i][j], b[j][l], b[i][l]
-                add([-ij, -jl, il])
-                add([ij, jl, -il])
+        template = self.templates.get((n, k))
+        if template is None:
+            for i, j, l in combinations(range(n), 3):
+                for b in before:
+                    ij, jl, il = b[i][j], b[j][l], b[i][l]
+                    add([-ij, -jl, il])
+                    add([ij, jl, -il])
+            self.templates.put((n, k), sat.snapshot())
+        else:
+            sat.load(template)
         allowed = {tuple(p) for p in inst.pi.perms}
         for ci, c in enumerate(inst.constraints):
             sel = npairs * k + ci * k + 1  # selector (ci, t) is sel + t

@@ -351,6 +351,7 @@ def test_reports_stable_across_runs(tmp_path, capsys):
     ["gadget-verify", "pi5", "--node-limit", "-1"],
     ["tau", "--n", "4", "--node-limit", "-1"],
     ["tau", "--n", "4", "--k", "3", "--node-limit", "-1"],
+    ["compat", "{csp}", "--k", "2", "--node-limit", "-1"],
 ])
 def test_negative_node_limit_rejected(tmp_path, capsys, argv):
     # refused before any search, so the outcome cannot depend on the engine
@@ -452,3 +453,26 @@ def test_entry_point_prints_one_json_line(tmp_path):
         assert json.loads(out)["command"] == argv[0]
     assert fresh("-h")[0] == 0
     assert fresh("solve", str(csp), "--no-such-flag") == (2, "")
+
+
+def test_compat_node_limit(tmp_path, capsys):
+    f = tmp_path / "all5.trip"
+    f.write_text(format_triplets(full_triplet_set(5)))  # tau(5) = 4
+    code, report = run(capsys, "compat", str(f), "--k", "3",
+                       "--node-limit", "5")
+    assert code == 2
+    assert report["result"]["compatible"] is None
+    assert report["result"]["trees"] is None
+    code, report = run(capsys, "compat", str(f), "--k", "3",
+                       "--node-limit", "1000")
+    assert code == 1 and report["result"]["compatible"] is False
+
+
+def test_compat_caterpillar_rejects_node_limit(tmp_path, capsys):
+    f = tmp_path / "x.trip"
+    f.write_text(format_triplets(SEPARATING))
+    code, report = run(capsys, "compat", str(f), "--k", "2",
+                       "--caterpillar", "--node-limit", "100")
+    assert code == 2
+    assert "node limit" in report["error"]
+    assert "result" not in report

@@ -21,7 +21,8 @@ from triord.phylo import (
     parse_dot, parse_newick, parse_triplets, restrict_tree, to_dot,
     to_newick, triplet, triplet_digraph, triplet_labels, two_dicolorable,
 )
-from triord.solver import solve
+from triord.extremal import full_triplet_set
+from triord.solver import BudgetExceeded, solve
 
 
 def all_triplet_sets(labels, max_size):
@@ -272,6 +273,17 @@ def test_k_tree_basics():
                 assert k_tree_compatible(ts, 3, cats) is not None
 
 
+def test_k_tree_node_limit():
+    everything = full_triplet_set(5)  # tau(5) = 4, refuted in 33 conflicts
+    with pytest.raises(BudgetExceeded):
+        k_tree_compatible(everything, 3, node_limit=5)
+    assert k_tree_compatible(everything, 3, node_limit=1000) is None
+    assert len(k_tree_compatible(everything, 4, node_limit=1000)) == 4
+    # the partition search counts no nodes, so it takes no limit
+    with pytest.raises(ValueError):
+        k_tree_compatible(everything, 4, True, node_limit=1000)
+
+
 def tree_cnf_by_closure(trips, n, k, caterpillars):
     """The tree-cover CNF of triplets over labels 1..n, clause by clause:
     for every leaf triple and slot, exactly one orientation; for every
@@ -328,6 +340,8 @@ def test_tree_cnf_follows_the_closure_generator(monkeypatch):
                 break
         for k in (1, 2, 3):
             for caterpillars in (False, True):
+                # a cached closure would be loaded, not logged
+                phylo._TreeCoverCnf.templates.clear()
                 log.clear()
                 phylo._TreeCoverCnf(trips, k, caterpillars)
                 assert log == tree_cnf_by_closure(trips, n, k, caterpillars)

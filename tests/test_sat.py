@@ -13,7 +13,7 @@ from triord._sat import Solver
 from triord.extremal import full_triplet_set
 from triord.gadgets import builtin_gadget, gadget_instance
 from triord.orderings import make_instance
-from triord.phylo import _TreeCoverCnf
+from triord.phylo import _TreeCoverCnf, triplet
 from triord.reductions import reduce_1pi5_to_2pi9
 from triord.solver import _PairOrderCnf
 
@@ -438,3 +438,225 @@ def test_encoders_emit_the_recorded_clauses(build, digest):
     # sha256 of (nvars, every stored clause in order): work on the encoders
     # or on add_clause must leave the solver's input exactly as it is
     assert cnf_fingerprint(build().sat) == digest
+
+
+# ---------------------------------------------------------------------------
+# Clause templates: snapshot, load, and the encoders' caches
+
+
+def literals(nvars):
+    return st.integers(1, nvars).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+@st.composite
+def snapshot_cases(draw):
+    """A prefix of clauses over 1..n0 on a solver with ``spare`` unused
+    variables more, a loaded solver over n >= n0 variables (fewer than the
+    source solver's when spare is larger), clauses to add after the load,
+    and the conflict limits of the solves that follow.  One prefix in ten
+    may hold units, which assign at the root."""
+    n0 = draw(st.integers(1, 6))
+    spare = draw(st.integers(0, 2))
+    n = n0 + draw(st.integers(0, 3))
+    narrow = 1 if draw(st.integers(0, 9)) == 0 else 2
+    prefix = draw(st.lists(st.lists(literals(n0), min_size=narrow,
+                                    max_size=6), max_size=14))
+    more = draw(st.lists(st.lists(literals(n), min_size=1, max_size=6),
+                         max_size=8))
+    limits = draw(st.lists(st.integers(0, 4), max_size=3))
+    return n0 + spare, n, prefix, more, limits
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshot_cases())
+def test_loaded_solver_matches_its_add_clause_twin(case):
+    source_vars, n, prefix, more, limits = case
+    source = Solver(source_vars)
+    for c in prefix:
+        source.add_clause(c)
+    if source.trail or not source.ok:
+        with pytest.raises(ValueError):
+            source.snapshot()
+        return
+    snap = source.snapshot()
+    loaded, twin = Solver(n), Solver(n)
+    loaded.load(snap)
+    for c in prefix:
+        twin.add_clause(c)
+    assert solver_state(loaded) == solver_state(twin)
+    for c in more:
+        loaded.add_clause(c)
+        twin.add_clause(c)
+    assert solver_state(loaded) == solver_state(twin)
+    for limit in limits + [None]:
+        result = loaded.solve(conflict_limit=limit)
+        assert result == twin.solve(conflict_limit=limit)
+        if result:
+            assert loaded.model() == twin.model()
+        assert (loaded.conflicts, loaded.decisions, loaded.propagations) == \
+            (twin.conflicts, twin.decisions, twin.propagations)
+        assert solver_state(loaded) == solver_state(twin)
+    # the record is a copy: solving the source leaves it as it was
+    source.solve()
+    again = Solver(n)
+    again.load(snap)
+    fresh = Solver(n)
+    for c in prefix:
+        fresh.add_clause(c)
+    assert solver_state(again) == solver_state(fresh)
+
+
+def learnt_at_no_root_assignment():
+    """A satisfiable random 3-CNF whose solve learnt clauses but fixed no
+    variable at the root."""
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        s = Solver(14)
+        for _ in range(58):
+            s.add_clause([v * rng.choice((-1, 1))
+                          for v in rng.sample(range(1, 15), 3)])
+        if s.solve() and s.n_learnt and not s.trail:
+            return s
+
+
+def test_snapshot_refuses_assigned_learnt_and_refuted_solvers():
+    assigned = Solver(3)
+    assigned.add_clause([1, 2])
+    assigned.add_clause([-3])
+    refuted = Solver(2)
+    refuted.add_clause([])
+    learnt = learnt_at_no_root_assignment()
+    for s in (assigned, refuted, learnt):
+        with pytest.raises(ValueError):
+            s.snapshot()
+    # each refused for one reason alone
+    assert (assigned.trail, assigned.n_learnt, assigned.ok) == ([-3], 0, True)
+    assert (refuted.trail, refuted.n_learnt, refuted.ok) == ([], 0, False)
+    assert learnt.trail == [] and learnt.ok
+
+
+def test_load_refuses_used_solvers_and_missing_variables():
+    source = Solver(5)
+    source.add_clause([1, -5])
+    source.add_clause([2, 3, 4])
+    snap = source.snapshot()
+    with_clause = Solver(5)
+    with_clause.add_clause([1, 2])
+    assigned = Solver(5)
+    assigned.add_clause([2])
+    refuted = Solver(5)
+    refuted.add_clause([])
+    for s in (with_clause, assigned, refuted, Solver(4)):
+        with pytest.raises(ValueError):
+            s.load(snap)
+    # more variables in the source solver than its clauses use load fine
+    wide = Solver(9)
+    wide.add_clause([1, -2])
+    small = Solver(2)
+    small.load(wide.snapshot())
+    assert small.clauses == [[1, -2]]
+
+
+def test_snapshot_past_16_bit_literals():
+    big = 1 << 15
+    clauses = [[big, -1], [-big, 2, -(big - 1)], [1, big - 1]]
+    source, twin = Solver(big), Solver(big + 2)
+    for c in clauses:
+        source.add_clause(c)
+        twin.add_clause(c)
+    loaded = Solver(big + 2)
+    loaded.load(source.snapshot())
+    assert solver_state(loaded) == solver_state(twin)
+
+
+def test_templates_evict_the_least_recently_used():
+    def snap(width):
+        s = Solver(width)
+        s.add_clause(range(1, width + 1))
+        return s.snapshot()
+
+    cache = _sat.Templates(7)
+    a, b, c = snap(3), snap(3), snap(2)
+    cache.put("a", a)
+    cache.put("b", b)
+    assert cache.get("a") is a  # "b" is now the least recently used
+    cache.put("c", c)  # 8 literals: "b" goes
+    assert cache.get("b") is None
+    assert cache.get("a") is a and cache.get("c") is c
+    cache.put("big", snap(8))  # over the bound alone: everything goes
+    assert [cache.get(k) for k in ("a", "c", "big")] == [None] * 3
+    cache.put("a", a)
+    cache.clear()
+    assert cache.get("a") is None
+    cache.put("b", b)
+    cache.put("c", c)  # the cleared "a" no longer counts
+    assert cache.get("b") is b and cache.get("c") is c
+
+
+def watch_lists(sat):
+    return [[tuple(c) for c in w] for w in sat.watches]
+
+
+def solve_record(sat):
+    result = sat.solve()
+    return (result, sat.model() if result else None,
+            sat.conflicts, sat.decisions, sat.propagations)
+
+
+def tree_question(labels, rng):
+    """2n triplets (every one for n = 3) that use all n labels."""
+    pool = [triplet(a, b, c) for a, b, c in
+            itertools.permutations(labels, 3) if a < b]
+    while True:
+        trips = sorted(rng.sample(pool, min(len(pool), 2 * len(labels))))
+        if len({x for t in trips for x in t}) == len(labels):
+            return trips
+
+
+def encoder_pairs(kind):
+    """(encoder class, build, first, second): two questions of one shape
+    for every n <= 6 and k <= 3; the tree ones on different labels, the
+    order ones with different constraint counts, either way round."""
+    rng = random.Random(23)
+    for n in range(3, 7):
+        for k in (1, 2, 3):
+            if kind == "order":
+                vars_ = list(range(1, n + 1))
+                few, many = ([tuple(rng.sample(vars_, 3)) for _ in range(m)]
+                             for m in (2, 5))
+                for a, b in ((few, many), (many, few)):
+                    yield (_PairOrderCnf, _PairOrderCnf,
+                           make_instance(9, k, vars_, a),
+                           make_instance(9, k, vars_, b))
+            else:
+                caterpillars = kind == "caterpillar"
+                yield (_TreeCoverCnf,
+                       lambda trips: _TreeCoverCnf(trips, k, caterpillars),
+                       tree_question(range(1, n + 1), rng),
+                       tree_question(range(10, 10 + n), rng))
+
+
+@pytest.mark.parametrize("kind", ["tree", "caterpillar", "order"])
+def test_warm_template_gives_the_cold_solver(monkeypatch, kind):
+    loads = []
+    load = Solver.load
+    monkeypatch.setattr(Solver, "load",
+                        lambda self, snap: loads.append(snap) or
+                        load(self, snap))
+    for cls, build, first, second in encoder_pairs(kind):
+        cls.templates.clear()
+        cold = build(second).sat
+        assert not loads
+        want = (cnf_fingerprint(cold), watch_lists(cold), solve_record(cold))
+        # the first question of the shape may have been solved already,
+        # which reorders its clause lists in place
+        for solve_first in (False, True):
+            cls.templates.clear()
+            other = build(first).sat
+            if solve_first:
+                other.solve()
+            warm = build(second).sat
+            assert len(loads) == 1
+            loads.clear()
+            assert (cnf_fingerprint(warm), watch_lists(warm),
+                    solve_record(warm)) == want

@@ -198,6 +198,8 @@ def logged_pair_order_cnf(monkeypatch, inst):
             super().add_clause(lits)
 
     monkeypatch.setattr(solver, "_CnfSolver", LoggedSolver)
+    # a cached transitivity block would be loaded, not logged
+    solver._PairOrderCnf.templates.clear()
     return solver._PairOrderCnf(inst), log
 
 
