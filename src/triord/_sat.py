@@ -29,18 +29,18 @@ free variable to be popped is the free variable of highest activity,
 ties to the lowest index.  A rescale changes every key, so it rebuilds
 the heap from every variable.
 
-``snapshot`` records a solver's clauses, in order, before anything is
-assigned or learnt: one flat read-only array of literals and one of
-clause widths.  ``load`` attaches such a record to a fresh solver that
-has every variable the clauses use.  The result is the solver that
-calling ``add_clause`` on each recorded clause in turn would give: the
-same clause order, literal order and watch-list order, so a later search
-is the same search.  The encoders keep the clauses that depend only on a
-formula's shape (the transitivity or four-leaf-closure block) as a
-snapshot in a ``Templates`` cache, and load it into every later question
-of that shape (clause-database reuse, as in incremental SAT: Eén &
-Sörensson, "Temporal induction by incremental SAT solving", ENTCS 2003;
-no learnt state is carried over).
+A ``Record`` is a block of clauses in compact form: one flat read-only
+array of clause widths and one of literals, every clause's in turn.
+``record`` writes one from chunks of clauses, and ``load`` attaches it to
+a fresh solver.  The result is the solver that calling ``add_clause`` on
+each recorded clause in turn would give, for clauses of width >= 2 over
+distinct variables: the same clause order, literal order and watch-list
+order, so a later search is the same search.  The encoders write the
+clauses that depend only on a formula's shape (the transitivity or
+four-leaf-closure block) as a record, keep it in a ``Templates`` cache,
+and load it into every question of that shape (clause-database reuse, as
+in incremental SAT: Eén & Sörensson, "Temporal induction by incremental
+SAT solving", ENTCS 2003; no learnt state is carried over).
 """
 
 from __future__ import annotations
@@ -49,44 +49,60 @@ from array import array
 from heapq import heapify, heappop, heappush
 from itertools import groupby, islice
 from struct import pack
-from typing import NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 _VAR_DECAY = 1.0 / 0.95
 _RESCALE = 1e100
 
 
-class Snapshot(NamedTuple):
-    """A solver's clauses in order (see Solver.snapshot)."""
+class Record(NamedTuple):
+    """A block of clauses in order (see record)."""
 
-    nvars: int  # of the snapshot's solver: no literal goes beyond it
+    nvars: int  # no literal goes beyond it
     widths: memoryview  # read-only, one entry per clause
     lits: memoryview  # read-only, every clause's literals in turn
 
 
+def record(nvars: int,
+           chunks: Iterable[tuple[Sequence[int], Sequence[int]]]) -> Record:
+    """The clauses of ``chunks`` (each the widths of some clauses, then
+    their literals in turn) as a Record over variables 1..nvars; each
+    clause has width >= 2 and distinct variables, as add_clause keeps."""
+    code = "h" if nvars < 1 << 15 else "i"  # a width is <= nvars too
+    widths, lits = array(code), array(code)
+    # struct.pack converts ints faster than array.extend does
+    for w, c in chunks:
+        widths.frombytes(pack(f"{len(w)}{code}", *w))
+        lits.frombytes(pack(f"{len(c)}{code}", *c))
+    return Record(nvars, memoryview(widths).toreadonly(),
+                  memoryview(lits).toreadonly())
+
+
 class Templates:
-    """Snapshots by key, at most ``size`` literals in all: the least
-    recently used ones are evicted first, and a snapshot larger than
+    """Records by key, at most ``size`` literals in all: the least
+    recently used ones are evicted first, and a record larger than
     ``size`` is not kept."""
 
     def __init__(self, size: int):
         self.size = size
-        self._snaps: dict = {}
+        self._records: dict = {}
         self._lits = 0
 
-    def get(self, key) -> Optional[Snapshot]:
-        snap = self._snaps.pop(key, None)
-        if snap is not None:
-            self._snaps[key] = snap  # now the most recently used
-        return snap
-
-    def put(self, key, snap: Snapshot) -> None:
-        self._lits += len(snap.lits)
-        self._snaps[key] = snap
+    def get(self, key: tuple, build: Callable[..., Record]) -> Record:
+        """The record kept under ``key``, else ``build(*key)``, which is
+        kept if it fits."""
+        recs = self._records
+        rec = recs.pop(key, None)
+        if rec is None:
+            rec = build(*key)
+            self._lits += len(rec.lits)
+        recs[key] = rec  # now the most recently used
         while self._lits > self.size:
-            self._lits -= len(self._snaps.pop(next(iter(self._snaps))).lits)
+            self._lits -= len(recs.pop(next(iter(recs))).lits)
+        return rec
 
     def clear(self) -> None:
-        self._snaps.clear()
+        self._records.clear()
         self._lits = 0
 
 
@@ -149,49 +165,23 @@ class Solver:
         else:
             self.ok = False
 
-    def snapshot(self) -> Snapshot:
-        """The clauses, in order, as a compact immutable record; raises
-        ValueError once anything is assigned or learnt, or the formula
-        is refuted, since the clause list alone no longer describes the
-        solver then."""
-        if self.trail or self.n_learnt or not self.ok:
-            raise ValueError("snapshot needs a solver with nothing "
-                             "assigned or learnt")
-        code = "h" if self.nvars < 1 << 15 else "i"  # a width is <= nvars
-        widths, lits = array(code), array(code)
-        clauses = self.clauses
-        # in chunks, so the temporary lists stay small; struct.pack
-        # converts ints faster than array.fromlist does
-        for i in range(0, len(clauses), 4096):
-            part = clauses[i:i + 4096]
-            flat: list[int] = []
-            for c in part:
-                flat.extend(c)
-            widths.frombytes(pack(f"{len(part)}{code}", *map(len, part)))
-            lits.frombytes(pack(f"{len(flat)}{code}", *flat))
-        return Snapshot(self.nvars, memoryview(widths).toreadonly(),
-                        memoryview(lits).toreadonly())
-
-    def load(self, snap: Snapshot) -> None:
-        """Attach the clauses of ``snap`` to this solver, which has no
-        clause, nothing assigned, and every variable the clauses use (it
-        may have more or fewer than the snapshot's solver had): the state
-        add_clause would leave after each recorded clause in turn, watch
-        order included."""
+    def load(self, rec: Record) -> None:
+        """Attach the clauses of ``rec`` to this solver, which has no
+        clause, nothing assigned, and at least the record's variables:
+        the state add_clause would leave after each recorded clause in
+        turn, watch order included."""
         if self.clauses or self.trail or not self.ok:
             raise ValueError("load needs a solver with no clause and "
                              "nothing assigned")
         n = self.nvars
-        # snap.nvars bounds the variables used; scan only when it is over
-        if snap.nvars > n and snap.lits and \
-                max(max(snap.lits), -min(snap.lits)) > n:
-            raise ValueError(f"snapshot uses variables beyond 1..{n}")
+        if rec.nvars > n:
+            raise ValueError(f"record uses variables beyond 1..{n}")
         # one int object per literal, shared by every clause; table[lit]
         # is lit for either sign, since a negative index wraps as in lval
         table = [*range(n + 1), *range(-n, 0)]
-        stream = map(table.__getitem__, snap.lits)
+        stream = map(table.__getitem__, rec.lits)
         clauses = self.clauses
-        for width, run in groupby(snap.widths):
+        for width, run in groupby(rec.widths):
             # a run of equal widths is cut from the stream in one go
             clauses.extend(map(list, islice(zip(*[stream] * width),
                                             len(tuple(run)))))

@@ -21,11 +21,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterable, Optional
 
-from ._sat import Solver, Templates
+from ._sat import Record, Solver, Templates, record
 from .orderings import LinearOrdering, _parse_name, var_key
-from .solver import BudgetExceeded
+from .solver import _budgeted_model
 
 Label = object
 Triplet = tuple  # canonical (a, b, c): a < b by var_key, witness c
@@ -341,12 +342,6 @@ class Digraph:
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError(f"arc endpoint outside vertex set: {(u, v)}")
 
-    def successors(self, u):
-        return [v for (x, v) in self.arcs if x == u]
-
-    def out_degree(self, u) -> int:
-        return sum(1 for (x, _) in self.arcs if x == u)
-
 
 def triplet_digraph(triplets: Iterable[Triplet]) -> Digraph:
     """Vertex per label; arcs from each witness to its cherry pair."""
@@ -593,25 +588,63 @@ class _TreeCoverCnf:
 
     Every clause before the covers (one orientation per leaf triple and
     slot, and the four-leaf closure) depends only on the number of
-    labels, k and the caterpillar flag.  The first question of such a
-    shape adds them through add_clause and keeps a snapshot of them in
-    ``templates``, keyed by that triple; later questions of the shape
-    load it (see _sat) and get the same solver, watch order included.
+    labels, k and the caterpillar flag: ``closure`` writes them as a
+    record (see _sat) that every question of the shape loads from
+    ``templates``.
     """
 
-    #: closure snapshots by (number of labels, k, caterpillars), up to
-    #: 2^20 literals: a 13-label tree-mode template at k = 3 has 316,602
+    #: closure records by (number of labels, k, caterpillars), up to
+    #: 2^20 literals: a 13-label tree-mode record at k = 3 has 316,602
     #: in 0.6 MB (16-bit), and 106,392 widths in 0.2 MB
     templates = Templates(1 << 20)
+
+    @staticmethod
+    def closure(nlabels: int, k: int, caterpillars: bool) -> Record:
+        """For each leaf triple and slot, exactly one orientation; then
+        for each quad, its four-leaf closure slot by slot."""
+        tid = {t: i for i, t in enumerate(combinations(range(nlabels), 3))}
+        nvars = 3 * len(tid) * k
+        # per leaf triple: its three rows' variables slot by slot, then
+        # their negations; a quad's four triples in turn give 24k values
+        lits = [(*range(v + 1, v + 1 + 3 * k),
+                 *range(-v - 1, -v - 1 - 3 * k, -1))
+                for v in range(0, nvars, 3 * k)]
+
+        def at(row: int, b: int, negated: bool) -> int:
+            j, o = divmod(row, 3)  # a quad's row: its j-th triple's
+            return 6 * k * j + 3 * k * negated + k * o + b
+
+        # per slot: row 0, 1 or 2 of the triple, and no two of them
+        one = [at(r, b, neg) for b in range(k) for r, neg in
+               zip((0, 1, 2, 0, 1, 0, 2, 1, 2), (0, 0, 0, 1, 1, 1, 1, 1, 1))]
+        # the closure on the quad (0, 1, 2, 3), each triplet as one of the
+        # quad's 12 orientation rows; every increasing quad maps onto it
+        # with the same orientations
+        quad_tid = {t: i for i, t in enumerate(combinations(range(4), 3))}
+        table = [tuple(None if t is None else _orient(quad_tid, *t)
+                       for t in pat)
+                 for pat in four_leaf_closure((0, 1, 2, 3), caterpillars)]
+        four = [at(row, b, neg) for p, q, r in table for b in range(k)
+                for row, neg in ((p, 1), (q, 1), (r, 0)) if row is not None]
+        four_widths = tuple(2 if r is None else 3
+                            for _, _, r in table for _ in range(k))
+
+        def chunks():  # one per leaf triple, then one per quad
+            pick = itemgetter(*one)
+            for v in lits:
+                yield (3, 2, 2, 2) * k, pick(v)
+            pick = itemgetter(*four)
+            for quad in combinations(range(nlabels), 4):
+                a, b, c, d = (lits[tid[t]] for t in combinations(quad, 3))
+                yield four_widths, pick(a + b + c + d)
+        return record(nvars, chunks())
 
     def __init__(self, triplets: list, k: int, caterpillars: bool = False):
         self.triplets, self.k, self.caterpillars = triplets, k, caterpillars
         labels = sorted(triplet_labels(triplets), key=var_key)
-        tri = list(combinations(range(len(labels)), 3))
-        tid = {t: i for i, t in enumerate(tri)}
         # the canonical triplet of each orientation row
         self.rows = [triplet(labels[a], labels[c], labels[w])
-                     for x, y, z in tri
+                     for x, y, z in combinations(range(len(labels)), 3)
                      for a, c, w in ((x, y, z), (x, z, y), (y, z, x))]
         self.row_of = {r: i for i, r in enumerate(self.rows)}
 
@@ -619,42 +652,8 @@ class _TreeCoverCnf:
         self.pos = pos = [list(range(1 + i * k, 1 + i * k + k))
                           for i in range(len(self.rows))]
         self.sat = sat = Solver(len(pos) * k)
-        shape = (len(labels), k, caterpillars)
-        template = self.templates.get(shape)
-        if template is None:
-            # the clauses share these int objects instead of each holding
-            # its own
-            neg = [[-v for v in row] for row in pos]
-            for i in range(0, len(pos), 3):
-                v0, v1, v2 = pos[i:i + 3]
-                n0, n1, n2 = neg[i:i + 3]
-                for b in range(k):
-                    sat.add_clause([v0[b], v1[b], v2[b]])  # one orientation
-                    sat.add_clause([n0[b], n1[b]])
-                    sat.add_clause([n0[b], n2[b]])
-                    sat.add_clause([n1[b], n2[b]])
-            # the closure on the quad (0, 1, 2, 3), each triplet as one of
-            # the quad's 12 orientation rows; every increasing quad maps
-            # onto it with the same orientations
-            quad_tid = {t: i for i, t in enumerate(combinations(range(4), 3))}
-            table = [tuple(None if t is None else _orient(quad_tid, *t)
-                           for t in pat)
-                     for pat in four_leaf_closure((0, 1, 2, 3), caterpillars)]
-            add = sat.add_clause
-            for quad in combinations(range(len(labels)), 4):
-                rows = [3 * tid[t] + o
-                        for t in combinations(quad, 3) for o in range(3)]
-                for p, q, r in table:
-                    not_p, not_q = neg[rows[p]], neg[rows[q]]
-                    if r is None:
-                        for clause in zip(not_p, not_q):
-                            add(clause)
-                    else:
-                        for clause in zip(not_p, not_q, pos[rows[r]]):
-                            add(clause)
-            self.templates.put(shape, sat.snapshot())
-        else:
-            sat.load(template)
+        sat.load(self.templates.get((len(labels), k, caterpillars),
+                                    self.closure))
         covers = [self.row_of[triplet(*t)] for t in triplets]
         for i in covers:
             sat.add_clause(pos[i])
@@ -670,14 +669,9 @@ class _TreeCoverCnf:
 
         Raises BudgetExceeded when the solver's conflicts, summed over
         every call, would pass node_limit."""
-        sat = self.sat
-        limit = None if node_limit is None else node_limit - sat.conflicts
-        res = sat.solve(conflict_limit=limit)
-        if res is None:
-            raise BudgetExceeded(node_limit)
-        if not res:
+        model = _budgeted_model(self.sat, node_limit)
+        if model is None:
             return None
-        model = sat.model()
         out = []
         for b in range(self.k):
             tree = aho_build({r for r, v in zip(self.rows, self.pos)

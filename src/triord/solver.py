@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from ._sat import Solver as _CnfSolver, Templates as _Templates
+from ._sat import Record, Solver as _CnfSolver, Templates as _Templates, record
 from .orderings import (
     TRIVIAL_2ORDER, Instance, LinearOrdering, reversal, satisfies,
 )
@@ -153,6 +153,17 @@ def _exhaustive(inst: Instance, cfg: SolverConfig, want_all: bool):
 # CDCL engine over pairwise order relations
 
 
+def _budgeted_model(sat: _CnfSolver,
+                    node_limit: Optional[int]) -> Optional[list[bool]]:
+    """sat's model after a new solve, or None if it is unsatisfiable;
+    BudgetExceeded once its conflicts over every solve pass node_limit."""
+    limit = None if node_limit is None else node_limit - sat.conflicts
+    res = sat.solve(conflict_limit=limit)
+    if res is None:
+        raise BudgetExceeded(node_limit)
+    return sat.model() if res else None
+
+
 class _PairOrderCnf:
     """The CNF of an instance over "u precedes v in slot t" Booleans, and a
     checked decoder of its models.
@@ -170,16 +181,32 @@ class _PairOrderCnf:
     ``block`` removes all of its arrangements.  With k = 1 the pin is the
     at-least-one clause of constraint 0, so the CNF does not change.
 
-    The transitivity clauses come first and depend only on (n, k).  The
-    first instance of such a shape adds them through add_clause and
-    keeps a snapshot of them in ``templates``, keyed by (n, k); later
-    instances load it (see _sat) into their own solver, whose selector
-    variables follow the pairs whatever their number, and get the same
-    solver, watch order included."""
+    The transitivity clauses come first and depend only on (n, k):
+    ``transitivity`` writes them as a record (see _sat) that every
+    instance of the shape loads from ``templates``; its selector
+    variables follow the pairs whatever their number."""
 
-    #: transitivity snapshots by (variables, k), up to 2^20 literals: 13
+    #: transitivity records by (variables, k), up to 2^20 literals: 13
     #: variables at k = 2 have 3,432 (9 kB with the widths)
     templates = _Templates(1 << 20)
+
+    @staticmethod
+    def transitivity(n: int, k: int) -> Record:
+        """i < j and j < l imply i < l, and the reverse, for each i < j < l
+        and slot t in turn."""
+        first = {pair: 1 + p * k  # its slot-0 variable; slot t adds t
+                 for p, pair in enumerate(combinations(range(n), 2))}
+
+        def chunks():  # one per i
+            for i in range(n):
+                lits: list[int] = []
+                for j, l in combinations(range(i + 1, n), 2):
+                    ij, jl, il = first[i, j], first[j, l], first[i, l]
+                    for t in range(k):
+                        lits += (-ij - t, -jl - t, il + t,
+                                 ij + t, jl + t, -il - t)
+                yield (3,) * (len(lits) // 3), lits
+        return record(len(first) * k, chunks())
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -197,17 +224,8 @@ class _PairOrderCnf:
                 before[t][j][i] = -lit
 
         self.sat = sat = _CnfSolver(npairs * k + len(inst.constraints) * k)
+        sat.load(self.templates.get((n, k), self.transitivity))
         add = sat.add_clause
-        template = self.templates.get((n, k))
-        if template is None:
-            for i, j, l in combinations(range(n), 3):
-                for b in before:
-                    ij, jl, il = b[i][j], b[j][l], b[i][l]
-                    add([-ij, -jl, il])
-                    add([ij, jl, -il])
-            self.templates.put((n, k), sat.snapshot())
-        else:
-            sat.load(template)
         allowed = {tuple(p) for p in inst.pi.perms}
         for ci, c in enumerate(inst.constraints):
             sel = npairs * k + ci * k + 1  # selector (ci, t) is sel + t
@@ -226,14 +244,9 @@ class _PairOrderCnf:
 
         Raises BudgetExceeded when the solver's conflicts, summed over
         every call, would pass node_limit."""
-        sat = self.sat
-        limit = None if node_limit is None else node_limit - sat.conflicts
-        res = sat.solve(conflict_limit=limit)
-        if res is None:
-            raise BudgetExceeded(node_limit)
-        if not res:
+        model = _budgeted_model(self.sat, node_limit)
+        if model is None:
             return None
-        model = sat.model()
         k = self.inst.k
         orderings = []
         for t in range(k):

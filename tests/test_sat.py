@@ -441,46 +441,48 @@ def test_encoders_emit_the_recorded_clauses(build, digest):
 
 
 # ---------------------------------------------------------------------------
-# Clause templates: snapshot, load, and the encoders' caches
+# Clause templates: records, load, and the encoders' caches
+
+
+def record_of(nvars, clauses):
+    return _sat.record(nvars, [([len(c) for c in clauses],
+                                [lit for c in clauses for lit in c])])
 
 
 def literals(nvars):
     return st.integers(1, nvars).flatmap(lambda v: st.sampled_from((v, -v)))
 
 
+def clauses_of(rec):
+    lits = iter(rec.lits)
+    return [[next(lits) for _ in range(width)] for width in rec.widths]
+
+
 @st.composite
-def snapshot_cases(draw):
-    """A prefix of clauses over 1..n0 on a solver with ``spare`` unused
-    variables more, a loaded solver over n >= n0 variables (fewer than the
-    source solver's when spare is larger), clauses to add after the load,
-    and the conflict limits of the solves that follow.  One prefix in ten
-    may hold units, which assign at the root."""
-    n0 = draw(st.integers(1, 6))
-    spare = draw(st.integers(0, 2))
+def record_cases(draw):
+    """A record of clauses of width >= 2 over distinct variables of
+    1..n0, a loaded solver over n >= n0 variables, clauses to add after
+    the load, and the conflict limits of the solves that follow."""
+    n0 = draw(st.integers(2, 6))
     n = n0 + draw(st.integers(0, 3))
-    narrow = 1 if draw(st.integers(0, 9)) == 0 else 2
-    prefix = draw(st.lists(st.lists(literals(n0), min_size=narrow,
-                                    max_size=6), max_size=14))
+    prefix = [[v * draw(st.sampled_from((-1, 1))) for v in vs]
+              for vs in draw(st.lists(st.lists(
+                  st.integers(1, n0), min_size=2, max_size=6, unique=True),
+                  max_size=14))]
     more = draw(st.lists(st.lists(literals(n), min_size=1, max_size=6),
                          max_size=8))
     limits = draw(st.lists(st.integers(0, 4), max_size=3))
-    return n0 + spare, n, prefix, more, limits
+    return n0, n, prefix, more, limits
 
 
 @settings(max_examples=300, deadline=None)
-@given(snapshot_cases())
+@given(record_cases())
 def test_loaded_solver_matches_its_add_clause_twin(case):
-    source_vars, n, prefix, more, limits = case
-    source = Solver(source_vars)
-    for c in prefix:
-        source.add_clause(c)
-    if source.trail or not source.ok:
-        with pytest.raises(ValueError):
-            source.snapshot()
-        return
-    snap = source.snapshot()
+    n0, n, prefix, more, limits = case
+    rec = record_of(n0, prefix)
+    assert clauses_of(rec) == prefix
     loaded, twin = Solver(n), Solver(n)
-    loaded.load(snap)
+    loaded.load(rec)
     for c in prefix:
         twin.add_clause(c)
     assert solver_state(loaded) == solver_state(twin)
@@ -496,14 +498,8 @@ def test_loaded_solver_matches_its_add_clause_twin(case):
         assert (loaded.conflicts, loaded.decisions, loaded.propagations) == \
             (twin.conflicts, twin.decisions, twin.propagations)
         assert solver_state(loaded) == solver_state(twin)
-    # the record is a copy: solving the source leaves it as it was
-    source.solve()
-    again = Solver(n)
-    again.load(snap)
-    fresh = Solver(n)
-    for c in prefix:
-        fresh.add_clause(c)
-    assert solver_state(again) == solver_state(fresh)
+    # the record is a copy: solving a loaded solver leaves it as it was
+    assert clauses_of(rec) == prefix
 
 
 def learnt_at_no_root_assignment():
@@ -519,78 +515,66 @@ def learnt_at_no_root_assignment():
             return s
 
 
-def test_snapshot_refuses_assigned_learnt_and_refuted_solvers():
-    assigned = Solver(3)
-    assigned.add_clause([1, 2])
-    assigned.add_clause([-3])
-    refuted = Solver(2)
-    refuted.add_clause([])
-    learnt = learnt_at_no_root_assignment()
-    for s in (assigned, refuted, learnt):
-        with pytest.raises(ValueError):
-            s.snapshot()
-    # each refused for one reason alone
-    assert (assigned.trail, assigned.n_learnt, assigned.ok) == ([-3], 0, True)
-    assert (refuted.trail, refuted.n_learnt, refuted.ok) == ([], 0, False)
-    assert learnt.trail == [] and learnt.ok
-
-
 def test_load_refuses_used_solvers_and_missing_variables():
-    source = Solver(5)
-    source.add_clause([1, -5])
-    source.add_clause([2, 3, 4])
-    snap = source.snapshot()
+    rec = record_of(5, [[1, -5], [2, 3, 4]])
     with_clause = Solver(5)
     with_clause.add_clause([1, 2])
     assigned = Solver(5)
     assigned.add_clause([2])
     refuted = Solver(5)
     refuted.add_clause([])
-    for s in (with_clause, assigned, refuted, Solver(4)):
+    learnt = learnt_at_no_root_assignment()
+    for s in (with_clause, assigned, refuted, learnt, Solver(4)):
         with pytest.raises(ValueError):
-            s.load(snap)
-    # more variables in the source solver than its clauses use load fine
+            s.load(rec)
+    # a record's variable count binds even where its clauses use fewer
+    with pytest.raises(ValueError):
+        Solver(2).load(record_of(9, [[1, -2]]))
     wide = Solver(9)
-    wide.add_clause([1, -2])
-    small = Solver(2)
-    small.load(wide.snapshot())
-    assert small.clauses == [[1, -2]]
+    wide.load(record_of(2, [[1, -2]]))
+    assert wide.clauses == [[1, -2]]
 
 
-def test_snapshot_past_16_bit_literals():
+def test_record_past_16_bit_literals():
     big = 1 << 15
+    assert record_of(big - 1, [[1, 2]]).lits.format == "h"
     clauses = [[big, -1], [-big, 2, -(big - 1)], [1, big - 1]]
-    source, twin = Solver(big), Solver(big + 2)
+    rec = record_of(big, clauses)
+    assert rec.lits.format == "i" and clauses_of(rec) == clauses
+    twin = Solver(big + 2)
     for c in clauses:
-        source.add_clause(c)
         twin.add_clause(c)
     loaded = Solver(big + 2)
-    loaded.load(source.snapshot())
+    loaded.load(rec)
     assert solver_state(loaded) == solver_state(twin)
 
 
 def test_templates_evict_the_least_recently_used():
-    def snap(width):
-        s = Solver(width)
-        s.add_clause(range(1, width + 1))
-        return s.snapshot()
+    built = []
+
+    def build(name, width):
+        built.append(name)
+        return record_of(width, [list(range(1, width + 1))])
 
     cache = _sat.Templates(7)
-    a, b, c = snap(3), snap(3), snap(2)
-    cache.put("a", a)
-    cache.put("b", b)
-    assert cache.get("a") is a  # "b" is now the least recently used
-    cache.put("c", c)  # 8 literals: "b" goes
-    assert cache.get("b") is None
-    assert cache.get("a") is a and cache.get("c") is c
-    cache.put("big", snap(8))  # over the bound alone: everything goes
-    assert [cache.get(k) for k in ("a", "c", "big")] == [None] * 3
-    cache.put("a", a)
+    a, b = cache.get(("a", 3), build), cache.get(("b", 3), build)
+    assert cache.get(("a", 3), build) is a  # "b" is now the least recent
+    c = cache.get(("c", 2), build)  # 8 literals: "b" goes
+    assert cache.get(("a", 3), build) is a and cache.get(("c", 2), build) is c
+    assert built == ["a", "b", "c"]
+    assert cache.get(("b", 3), build) is not b  # built again; "a" goes
+    assert cache.get(("c", 2), build) is c
+    assert built == ["a", "b", "c", "b"]
+    cache.get(("big", 8), build)  # over the bound alone: everything goes
+    for key in (("c", 2), ("big", 8)):
+        cache.get(key, build)
+    assert built == ["a", "b", "c", "b", "big", "c", "big"]
     cache.clear()
-    assert cache.get("a") is None
-    cache.put("b", b)
-    cache.put("c", c)  # the cleared "a" no longer counts
-    assert cache.get("b") is b and cache.get("c") is c
+    b, c = cache.get(("b", 3), build), cache.get(("c", 2), build)
+    d = cache.get(("d", 2), build)  # the cleared ones no longer count
+    assert [cache.get(key, build) for key in
+            (("b", 3), ("c", 2), ("d", 2))] == [b, c, d]
+    assert built[-3:] == ["b", "c", "d"]
 
 
 def watch_lists(sat):
@@ -638,16 +622,32 @@ def encoder_pairs(kind):
 
 @pytest.mark.parametrize("kind", ["tree", "caterpillar", "order"])
 def test_warm_template_gives_the_cold_solver(monkeypatch, kind):
+    """A question's solver is the same whether its shape's record was
+    just built (cold) or kept from an earlier question (warm), and equals
+    the twin that add_clause builds from the same clauses."""
     loads = []
     load = Solver.load
-    monkeypatch.setattr(Solver, "load",
-                        lambda self, snap: loads.append(snap) or
-                        load(self, snap))
+
+    def logged_load(self, rec):
+        loads.append(rec)
+        load(self, rec)
+
+    def add_clause_load(self, rec):
+        for c in clauses_of(rec):
+            self.add_clause(c)
+
+    def state(sat):
+        return cnf_fingerprint(sat), watch_lists(sat), solver_state(sat)
+
+    monkeypatch.setattr(Solver, "load", logged_load)
     for cls, build, first, second in encoder_pairs(kind):
+        with monkeypatch.context() as m:
+            m.setattr(Solver, "load", add_clause_load)
+            twin = build(second).sat
+        want = state(twin), solve_record(twin)
         cls.templates.clear()
         cold = build(second).sat
-        assert not loads
-        want = (cnf_fingerprint(cold), watch_lists(cold), solve_record(cold))
+        assert (state(cold), solve_record(cold)) == want
         # the first question of the shape may have been solved already,
         # which reorders its clause lists in place
         for solve_first in (False, True):
@@ -656,7 +656,24 @@ def test_warm_template_gives_the_cold_solver(monkeypatch, kind):
             if solve_first:
                 other.solve()
             warm = build(second).sat
-            assert len(loads) == 1
-            loads.clear()
-            assert (cnf_fingerprint(warm), watch_lists(warm),
-                    solve_record(warm)) == want
+            assert loads[-1] is loads[-2]
+            assert (state(warm), solve_record(warm)) == want
+
+
+@pytest.mark.parametrize("cls, build, digest", [
+    (_PairOrderCnf, pi9_gadget,
+     "8544a37a1a07824b8ba376c26fa35f42ef3a71ce75dcccf189114e54c5299399"),
+    (_TreeCoverCnf, lambda: _TreeCoverCnf(sorted(full_triplet_set(6)), 4),
+     "893fb64ac826a12eb75a90314010a2d407a7d1795d87b76ee1ee31f4b24717c6"),
+], ids=["order", "tree"])
+def test_record_over_the_templates_bound_is_not_kept(monkeypatch, cls, build,
+                                                     digest):
+    builder = "transitivity" if cls is _PairOrderCnf else "closure"
+    built = []
+    make = getattr(cls, builder)
+    monkeypatch.setattr(cls, builder, staticmethod(
+        lambda *key: built.append(key) or make(*key)))
+    monkeypatch.setattr(cls, "templates", _sat.Templates(10))
+    for _ in range(2):
+        assert cnf_fingerprint(build().sat) == digest
+    assert len(built) == 2 and built[0] == built[1]  # built each time

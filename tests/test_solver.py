@@ -198,8 +198,6 @@ def logged_pair_order_cnf(monkeypatch, inst):
             super().add_clause(lits)
 
     monkeypatch.setattr(solver, "_CnfSolver", LoggedSolver)
-    # a cached transitivity block would be loaded, not logged
-    solver._PairOrderCnf.templates.clear()
     return solver._PairOrderCnf(inst), log
 
 
@@ -220,5 +218,9 @@ def test_pair_order_pin_is_constraint_zero_in_slot_zero(monkeypatch, k):
 def test_pair_order_cnf_without_constraints_has_no_pin(monkeypatch):
     cnf, log = logged_pair_order_cnf(
         monkeypatch, make_instance(5, 2, range(1, 5), []))
-    assert all(len(lits) == 3 for lits, _, _ in log)  # transitivity only
+    assert log == []  # no selector, cover or pin clause
+    # transitivity only: two clauses per leaf triple of the 4 variables,
+    # in each of the 2 slots
+    assert len(cnf.sat.clauses) == 2 * 4 * 2
+    assert all(len(lits) == 3 for lits in cnf.sat.clauses)
     assert cnf.sat.trail == []
