@@ -29,6 +29,17 @@ free variable to be popped is the free variable of highest activity,
 ties to the lowest index.  A rescale changes every key, so it rebuilds
 the heap from every variable.
 
+Conflict analysis learns the first-UIP clause and then minimises it
+recursively, as MiniSat does (Sörensson & Biere, "Minimizing Learned
+Clauses", SAT 2009): a literal other than the asserting one is dropped
+when every chain of reasons back from it ends at another literal of the
+clause or at level 0.  Each walk keeps an explicit stack and stops at
+the first variable that is a decision or whose level no literal of the
+clause has (a bitmask of the clause's levels, modulo 64, tells).  The
+variables a successful walk visits stay marked as implied for the next
+walk; a failed walk unmarks them.  A shorter clause becomes unit
+sooner; ``learnt_literals`` counts the literals kept.
+
 A ``Record`` is a block of clauses in compact form: one flat read-only
 array of clause widths and one of literals, every clause's in turn.
 ``record`` writes one from chunks of clauses, and ``load`` attaches it to
@@ -130,6 +141,7 @@ class Solver:
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0  # trail literals whose watches were visited
+        self.learnt_literals = 0  # of every learnt clause, units included
         self._model: list[bool] = []
 
     # -- construction -----------------------------------------------------
@@ -288,6 +300,7 @@ class Solver:
         level, reason, trail = self.level, self.reason, self.trail
         activity, inheap, inc = self.activity, self.inheap, self.inc
         learnt = [0]  # slot for the asserting literal
+        levels = 0  # of learnt[1:], as a bitmask modulo 64
         cur_level = len(self.lim)
         counter = 0
         p = 0
@@ -305,10 +318,12 @@ class Solver:
                     if act > _RESCALE:
                         self._rescale()
                         inc = self.inc
-                    if level[v] == cur_level:
+                    lv = level[v]
+                    if lv == cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
+                        levels |= 1 << (lv & 63)
             while True:
                 idx -= 1
                 p = trail[idx]
@@ -321,6 +336,17 @@ class Solver:
                 break
             confl = reason[v]
         learnt[0] = -p
+        # drop each literal that the rest of the clause implies: seen
+        # marks the clause's variables, and a walk marks those it shows
+        # to be implied too
+        kept = 1
+        for i in range(1, len(learnt)):
+            q = learnt[i]
+            r = reason[q if q > 0 else -q]
+            if r is None or not self._implied(r, seen, levels):
+                learnt[kept] = q
+                kept += 1
+        del learnt[kept:]
         back = 0
         # the first literal of the highest remaining level becomes the
         # second watch, learnt[1]; that level is where to backjump
@@ -333,6 +359,30 @@ class Solver:
         if j:
             learnt[1], learnt[j] = learnt[j], learnt[1]
         return learnt, back
+
+    def _implied(self, confl: list[int], seen: list[bool],
+                 levels: int) -> bool:
+        """Whether every false literal of ``confl`` is at level 0 or
+        follows, through a chain of reasons, from the variables marked in
+        ``seen``.  On success the walk's variables stay marked; on failure
+        it unmarks them.  A variable whose level is not in the bitmask
+        ``levels`` ends the walk: it cannot follow from the marked ones."""
+        level, reason = self.level, self.reason
+        stack = [confl]
+        marked = []
+        while stack:
+            for q in stack.pop():
+                v = q if q > 0 else -q
+                lv = level[v]
+                if lv and not seen[v]:
+                    if not levels >> (lv & 63) & 1 or (r := reason[v]) is None:
+                        for u in marked:
+                            seen[u] = False
+                        return False
+                    seen[v] = True
+                    marked.append(v)
+                    stack.append(r)
+        return True
 
     def _backtrack(self, target: int) -> None:
         lim = self.lim
@@ -392,6 +442,7 @@ class Solver:
                 conflicts += 1
                 self.conflicts += 1
                 learnt, back = self._analyze(confl)
+                self.learnt_literals += len(learnt)
                 self._backtrack(back)
                 if len(learnt) == 1:
                     reason = None

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import triord
 from triord.cli import main
@@ -476,3 +478,53 @@ def test_compat_caterpillar_rejects_node_limit(tmp_path, capsys):
     assert code == 2
     assert "node limit" in report["error"]
     assert "result" not in report
+
+
+# ---------------------------------------------------------------------------
+# reader fuzzing: a mutated input file gives an answer or an error report,
+# never a traceback
+
+VALID_FILES = {
+    "csp": ("pi 5\nvars 1 2 3 4\nc 1 2 3  # one\nc 2 4 3\n", ["solve"]),
+    "trip": ("a b | c\nb c | d  # two\na d | c\n", ["compat", "--k", "2"]),
+    "dot": ('digraph {\n  "1";\n  "1" -> "2";\n  2 -> 3;\n  "3" -> "1";\n'
+            '  // three\n}\n', ["dicolor"]),
+}
+_FORMAT_CHARS = st.sampled_from(list('0123456789abcpikv |#"->{};\n\t'))
+_ANY_CHAR = st.characters(blacklist_categories=("Cs",))
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after one to four edits: a character inserted, deleted or
+    replaced at a drawn position."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        ch = draw(_FORMAT_CHARS | _ANY_CHAR)
+        if edit == "insert":
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + (ch if edit == "replace" else "") + text[i + 1:]
+    return text
+
+
+@pytest.mark.parametrize("ext", sorted(VALID_FILES))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_input_files(tmp_path, capsys, ext, data):
+    # an edit may leave the file well formed, so an answer (exit 0 or 1
+    # with a result) is allowed too; anything else is exit 2 with an error
+    text, argv = VALID_FILES[ext]
+    f = tmp_path / f"in.{ext}"
+    f.write_text(data.draw(mutated(text)), encoding="utf-8")
+    code = main([argv[0], str(f), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert out.endswith("\n") and out.count("\n") == 1 and not err
+    report = json.loads(out)
+    if code == 2:
+        assert report["error"] and "result" not in report
+    else:
+        assert code in (0, 1) and "error" not in report
+        assert report["result"]

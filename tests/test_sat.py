@@ -1,5 +1,6 @@
 """The internal CNF solver, checked against truth-table enumeration."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -327,7 +328,168 @@ def test_search_counters_on_fixed_cases():
         cnf.block(sol)
     s = cnf.sat
     assert count == 4
-    assert (s.conflicts, s.decisions, s.propagations) == (450, 1366, 22909)
+    assert (s.conflicts, s.decisions, s.propagations) == (458, 1359, 23615)
+
+
+# ---------------------------------------------------------------------------
+# Conflict analysis: every learnt clause follows from the clauses before
+# it, is the first-UIP clause less exactly its implied literals, and
+# asserts its first literal after the backjump
+
+
+def rup(clauses, clause):
+    """Whether unit propagation over ``clauses`` from the negation of
+    ``clause`` reaches a conflict (reverse unit propagation), by plain
+    repeated scans: no watches, nothing shared with the solver."""
+    true = {-lit for lit in clause}
+    changed = True
+    while changed:
+        changed = False
+        for c in clauses:
+            if any(lit in true for lit in c):
+                continue
+            free = [lit for lit in c if -lit not in true]
+            if not free:
+                return True
+            if len(free) == 1:
+                true.add(free[0])
+                changed = True
+    return False
+
+
+def first_uip(s, confl):
+    """The first-UIP clause of conflict ``confl`` as a set, by resolving
+    with the reasons of the trail from its end until one literal of the
+    current level is left; level-0 literals are dropped."""
+    def level(lit):
+        return s.level[abs(lit)]
+
+    cur = len(s.lim)
+    clause = {q for q in confl if level(q)}
+    for t in reversed(s.trail):
+        if sum(level(q) == cur for q in clause) == 1:
+            break
+        if -t in clause:
+            clause.remove(-t)
+            clause.update(q for q in s.reason[abs(t)] if q != t and level(q))
+    return clause
+
+
+def minimised(s, clause):
+    """``clause`` less each literal below the current level whose every
+    chain of reasons ends at another such literal of the clause or at
+    level 0."""
+    below = {abs(q) for q in clause if s.level[abs(q)] < len(s.lim)}
+
+    @functools.cache
+    def implied(v):
+        r = s.reason[v]
+        return r is not None and all(
+            u == v or u in below or not s.level[u] or implied(u)
+            for u in map(abs, r))
+
+    return {q for q in clause if abs(q) not in below or not implied(abs(q))}
+
+
+def checked_analysis(s, clauses):
+    """Make ``s`` check each clause its conflict analysis learns against
+    the definitions above, ``clauses`` being the input clauses so far;
+    the learnt clauses are logged, in order, to the list returned."""
+    analyze = s._analyze
+    log = []
+
+    def checked(confl):
+        uip = first_uip(s, confl)
+        learnt, back = analyze(confl)
+        levels = [s.level[abs(q)] for q in learnt]
+        assert set(learnt) <= uip
+        assert set(learnt) == minimised(s, uip)
+        assert len(set(learnt)) == len(learnt)
+        # learnt[0] alone is of the conflict level, learnt[1] of the
+        # backjump level
+        assert levels[0] == len(s.lim)
+        assert back == max(levels[1:], default=0) < levels[0]
+        assert len(learnt) == 1 or levels[1] == back
+        assert rup(clauses + log, learnt)
+        log.append(list(learnt))
+        return learnt, back
+
+    s._analyze = checked
+    return log
+
+
+@st.composite
+def threshold_formulas(draw):
+    """Random 3-CNF over 16-40 variables at 4.26 clauses per variable,
+    where random 3-SAT is hardest: searches of tens of conflicts, with
+    long chains of reasons and learnt units.  Two thirds of the clauses
+    come first and the rest are added after a solve.  The clauses come
+    from a drawn seed, so a failure shrinks in a few steps."""
+    nvars = draw(st.integers(16, 40))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    clauses = [[v * rng.choice((-1, 1))
+                for v in rng.sample(range(1, nvars + 1), 3)]
+               for _ in range(round(4.26 * nvars))]
+    cut = 2 * len(clauses) // 3
+    return nvars, clauses[:cut], clauses[cut:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(formulas(), threshold_formulas()), st.integers(1, 4))
+def test_learnt_clauses_are_minimal_implied_and_asserting(formula, limit):
+    # solves stopped by a conflict limit and clauses added between solves
+    # keep the learnt clauses of the earlier solves in play
+    nvars, first, later = formula
+    s = Solver(nvars)
+    clauses = [list(c) for c in first]
+    for c in first:
+        s.add_clause(c)
+    log = checked_analysis(s, clauses)
+    s.solve(conflict_limit=limit)
+    for c in later:
+        s.add_clause(c)
+        clauses.append(list(c))
+    res = None
+    while res is None:
+        res = s.solve(conflict_limit=limit)
+    # the answer is checked too: a model satisfies every clause, and a
+    # refutation is the logged clauses, whose last step is the empty one
+    if res:
+        assert all(any((lit > 0) == s.model()[abs(lit)] for lit in c)
+                   for c in clauses)
+    else:
+        assert rup(clauses + log, [])
+    assert s.learnt_literals == sum(map(len, log))
+
+
+def test_minimisation_stops_at_a_level_outside_the_clause():
+    # level 1: a = 1 implies the chain 2..6; level 2: w = 7, and 6 and 7
+    # imply y = 8; level 3: e = 9 and y, w imply both z = 10 and -10.
+    # The first-UIP clause is (-9, -8, -7), and -8 stays: its reason holds
+    # 6, of level 1, which no literal of the clause has, so the walk ends
+    # there without reading the reasons of the chain
+    s = Solver(10)
+    for v in range(1, 6):
+        s.add_clause([-v, v + 1])
+    s.add_clause([8, -6, -7])
+    s.add_clause([10, -9, -8, -7])
+    s.add_clause([-10, -9, -8, -7])
+    reads = []
+
+    class Reasons(list):
+        def __getitem__(self, v):
+            reads.append(v)
+            return super().__getitem__(v)
+
+    s.reason = Reasons(s.reason)
+    for lit in (1, 7, 9):
+        s.lim.append(len(s.trail))
+        s._enqueue(lit, None)
+        confl = s._propagate()
+    reads.clear()
+    learnt, back = s._analyze(confl)
+    assert set(learnt) == {-9, -8, -7} and learnt[0] == -9 and back == 2
+    assert not set(reads) & set(range(2, 7))
 
 
 # ---------------------------------------------------------------------------

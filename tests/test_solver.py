@@ -123,8 +123,8 @@ def test_trivial_families_always_satisfiable():
             assert solve(inst, BNB) is not None
 
 
-@pytest.mark.parametrize("name, conflicts, count", [("pi5", 43, 4),
-                                                    ("pi6", 20, 1)])
+@pytest.mark.parametrize("name, conflicts, count", [("pi5", 35, 4),
+                                                    ("pi6", 19, 1)])
 def test_enumeration_conflict_budget_on_gadgets(name, conflicts, count):
     # the budget caps conflicts summed over every solve of the enumeration
     gens, fam, k, _ = builtin_gadget(name)
