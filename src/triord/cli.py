@@ -8,7 +8,7 @@ answers and errors.  Timings and node counts appear in the report but
 never influence the exit code.  A negative ``--node-limit`` is an error.
 
 File formats: ``.csp`` ordering instances, ``.trip`` triplet lists,
-Newick trees, DOT digraphs, and LP model export.
+Newick trees, DOT digraphs, and DIMACS export of the τ formula.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 import time
 from functools import partial
 
-from .extremal import export_lp_model, tau, tau_decision
+from .extremal import tau, tau_cnf, tau_decision
 from .gadgets import (
     NO_SYMMETRY, TREE_GADGET, builtin_gadget, verify_tree_uniqueness,
     verify_uniqueness,
@@ -199,12 +199,12 @@ def _cmd_gadget_verify(args, t0) -> int:
 
 def _cmd_tau(args, t0) -> int:
     digest = _digest(f"n={args.n} k={args.k} cat={args.caterpillar}")
-    if args.export_lp:
-        if args.k is None:
-            raise _CliError("--export-lp needs an explicit --k")
-        _write(args.export_lp, export_lp_model(args.n, args.k,
-                                               args.caterpillar))
+    if args.export_cnf and args.k is None:
+        raise _CliError("--export-cnf needs an explicit --k")
     try:
+        if args.export_cnf:
+            _write(args.export_cnf,
+                   tau_cnf(args.n, args.k, args.caterpillar).dimacs())
         if args.k is not None:
             d = tau_decision(args.n, args.k, args.caterpillar,
                              node_limit=args.node_limit)
@@ -227,8 +227,8 @@ def _cmd_tau(args, t0) -> int:
             code = EXIT_YES if b.exact else EXIT_UNKNOWN
     except ValueError as e:
         raise _CliError(str(e)) from None
-    if args.export_lp:
-        payload["lp_file"] = args.export_lp
+    if args.export_cnf:
+        payload["cnf_file"] = args.export_cnf
     _emit(args, payload, t0, digest)
     return code
 
@@ -288,11 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--enumerate", action="store_true",
                    help="list every solution multiset")
-    p.add_argument("--mode", choices=("cdcl", "exhaustive",
-                                      "branch_and_bound"),
-                   default="cdcl",
-                   help="cdcl: the CDCL solver over the pair-order CNF "
-                   "(branch_and_bound is an older name for it); "
+    p.add_argument("--mode", choices=("cdcl", "exhaustive"), default="cdcl",
+                   help="cdcl: the CDCL solver over the pair-order CNF; "
                    "exhaustive: scan every multiset of k orderings")
     p.add_argument("--node-limit", type=int, default=None,
                    help="give up (exit 2) after this many CDCL conflicts, "
@@ -324,8 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caterpillar", action="store_true")
     p.add_argument("--node-limit", type=int, default=None,
                    help="give up (exit 2) after this many CDCL conflicts")
-    p.add_argument("--export-lp", metavar="PATH", default=None,
-                   help="also write the 0/1 model in LP format")
+    p.add_argument("--export-cnf", metavar="PATH", default=None,
+                   help="also write the formula that decides tau(n) <= k, "
+                   "in DIMACS CNF")
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("compat",
@@ -335,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caterpillar", action="store_true")
     p.add_argument("--node-limit", type=int, default=None,
                    help="give up (exit 2) after this many CDCL conflicts; "
-                   "not with --caterpillar, whose search counts no nodes")
+                   "placements of the partition search with --caterpillar")
     p.set_defaults(func=_cmd_compat)
 
     p = sub.add_parser("dicolor",

@@ -17,9 +17,8 @@ orientation, constrained by
 The CDCL model also breaks slot symmetry without loss of generality: the
 three orientations of the first leaf triple go to slots 0, 1 and 2 (the
 first min(k, 3) of them; see ``_TreeCoverCnf``), so k <= 2 is refuted at
-the root.  The same model, without that predicate, can be written out in
-LP text format for an external solver; both take constraints (3)-(5) from
-``phylo.four_leaf_closure``.
+the root.  ``tau_cnf`` builds that formula, and its ``dimacs`` text is what
+an outside solver or proof checker reads.
 
 The module also carries the surrounding machinery: the logarithmic upper
 bound on tau_c with its constructive greedy caterpillar cover (each round
@@ -37,14 +36,14 @@ from typing import Iterable, Optional
 
 from .orderings import ordering, var_key
 from .phylo import (
-    RootedTree, Triplet, _TreeCoverCnf, caterpillar_of, displays,
-    four_leaf_closure, join, triplet, triplet_labels,
+    RootedTree, Triplet, _TreeCoverCnf, caterpillar_of, displays, join,
+    triplet, triplet_labels,
 )
 from .solver import BudgetExceeded
 
 __all__ = [
-    "full_triplet_set", "TauDecision", "tau_decision", "TauBound", "tau",
-    "export_lp_model", "log_upper_bound", "greedy_caterpillar_cover",
+    "full_triplet_set", "tau_cnf", "TauDecision", "tau_decision",
+    "TauBound", "tau", "log_upper_bound", "greedy_caterpillar_cover",
     "UnrootedTree", "Rooting", "unroot", "rootings_of", "root_location",
     "find_missing_triplet",
 ]
@@ -80,15 +79,20 @@ class TauDecision:
     nodes: int = 0
 
 
-def tau_decision(n: int, k: int, caterpillar_mode: bool = False,
-                 node_limit: Optional[int] = None) -> TauDecision:
-    """Decide whether k trees (caterpillars) suffice to display T_n;
-    ``node_limit`` caps the CDCL conflicts."""
+def tau_cnf(n: int, k: int, caterpillar_mode: bool = False) -> _TreeCoverCnf:
+    """The k-tree (k-caterpillar) cover formula of T_n, before any solve."""
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
     if k < 1:
         raise ValueError(f"need at least one tree slot, got {k}")
-    cnf = _TreeCoverCnf(sorted(full_triplet_set(n)), k, caterpillar_mode)
+    return _TreeCoverCnf(sorted(full_triplet_set(n)), k, caterpillar_mode)
+
+
+def tau_decision(n: int, k: int, caterpillar_mode: bool = False,
+                 node_limit: Optional[int] = None) -> TauDecision:
+    """Decide whether k trees (caterpillars) suffice to display T_n;
+    ``node_limit`` caps the CDCL conflicts."""
+    cnf = tau_cnf(n, k, caterpillar_mode)
     try:
         trees = cnf.next(node_limit)
     except BudgetExceeded:
@@ -126,42 +130,6 @@ def tau(n: int, caterpillar_mode: bool = False,
             return TauBound(n, caterpillar_mode, k, k, d.trees, nodes)
         if d.answer is None:
             return TauBound(n, caterpillar_mode, None, k, None, nodes)
-
-
-def export_lp_model(n: int, k: int, caterpillar_mode: bool = False) -> str:
-    """The cover model in LP text format, for outside verification.
-
-    Variable ``x_a_b_c_t`` is 1 iff slot t's tree displays ab|c."""
-    if n < 3 or k < 1:
-        raise ValueError("need n >= 3 and k >= 1")
-    names = {}
-    for a, b, c in combinations(range(1, n + 1), 3):
-        for trip in (triplet(a, b, c), triplet(a, c, b), triplet(b, c, a)):
-            for t in range(1, k + 1):
-                names[trip, t] = f"x_{trip[0]}_{trip[1]}_{trip[2]}_{t}"
-    lines = ["Minimize", " obj: 0", "Subject To"]
-    slots = range(1, k + 1)
-    for a, b, c in combinations(range(1, n + 1), 3):
-        trips = (triplet(a, b, c), triplet(a, c, b), triplet(b, c, a))
-        for trip in trips:
-            terms = " + ".join(names[trip, t] for t in slots)
-            lines.append(f" cover_{trip[0]}_{trip[1]}_{trip[2]}:"
-                         f" {terms} >= 1")
-        for t in slots:
-            terms = " + ".join(names[trip, t] for trip in trips)
-            lines.append(f" one_{a}_{b}_{c}_{t}: {terms} = 1")
-    closure = (c for quad in combinations(range(1, n + 1), 4)
-               for c in four_leaf_closure(quad, caterpillar_mode))
-    for row, (p, q, r) in enumerate(closure, 1):
-        for t in slots:
-            terms = f"{names[p, t]} + {names[q, t]}"
-            lines.append(f" cl{row}_{t}: {terms} - {names[r, t]} <= 1"
-                         if r else f" cat{row}_{t}: {terms} <= 1")
-    lines.append("Binary")
-    for name in names.values():
-        lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

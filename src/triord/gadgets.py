@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 from typing import Optional
 
@@ -178,10 +178,8 @@ def verify_tree_uniqueness(triple: tuple[RootedTree, RootedTree, RootedTree],
     if any(t.leaves != frozenset(_GADGET_LEAVES) for t in triple):
         raise ValueError("gadget trees must have leaves {0..5}")
     cnf = _TreeCoverCnf(sorted(gadget_triplet_union(triple)), 3)
-    covers = set()
-    while len(covers) <= 4 and (trees := cnf.next(node_limit)) is not None:
-        covers.add(tuple(sorted(trees, key=RootedTree.sort_key)))
-        cnf.block(trees)
+    covers = {tuple(sorted(trees, key=RootedTree.sort_key))
+              for trees in islice(cnf.answers(node_limit), 5)}
     if len(set(triple)) == 3 and any(len(cherries(t)) != 1
                                      for c in covers for t in c):
         raise RuntimeError("covering triple contains a multi-cherry tree")

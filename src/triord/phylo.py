@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from ._sat import Record, Solver, Templates, record
 from .orderings import LinearOrdering, _parse_name, var_key
-from .solver import _budgeted_model
+from .solver import BudgetExceeded, _SlotCnf
 
 Label = object
 Triplet = tuple  # canonical (a, b, c): a < b by var_key, witness c
@@ -409,12 +409,15 @@ class _PartitionSearch:
     transitive closure of the block's triplet digraph, so a placement is
     infeasible exactly when it would close a cycle.  Identical empty
     blocks are interchangeable, so a triplet may only open the first of
-    them.
+    them.  ``nodes`` counts the placements tried; past ``node_limit``
+    the search raises BudgetExceeded.
     """
 
-    def __init__(self, triplets: list, k: int):
+    def __init__(self, triplets: list, k: int,
+                 node_limit: Optional[int] = None):
         self.trips = triplets
         self.k = k
+        self.nodes, self.node_limit = 0, node_limit
         self.labels = sorted(triplet_labels(triplets), key=var_key)
         self.lidx = {x: i for i, x in enumerate(self.labels)}
         self.itrips = [tuple(self.lidx[x] for x in t) for t in triplets]
@@ -514,6 +517,9 @@ class _PartitionSearch:
         return False
 
     def _assign(self, i: int, b: int, pending: set, placed: list) -> bool:
+        self.nodes += 1
+        if self.node_limit is not None and self.nodes > self.node_limit:
+            raise BudgetExceeded(self.node_limit)
         undo: list = []
         if not self._place(b, self.trips[i], undo):
             self._unplace(b, undo)
@@ -564,7 +570,7 @@ def _orient(tid: dict, a, c, w) -> int:
     return tid[key] * 3 + (0 if w == key[2] else (1 if w == key[1] else 2))
 
 
-class _TreeCoverCnf:
+class _TreeCoverCnf(_SlotCnf):
     """The CNF of a k-tree (k-caterpillar if flagged) cover of the
     triplets, and a checked decoder of its models.
 
@@ -640,7 +646,7 @@ class _TreeCoverCnf:
         return record(nvars, chunks())
 
     def __init__(self, triplets: list, k: int, caterpillars: bool = False):
-        self.triplets, self.k, self.caterpillars = triplets, k, caterpillars
+        self.triplets, self.caterpillars = triplets, caterpillars
         labels = sorted(triplet_labels(triplets), key=var_key)
         # the canonical triplet of each orientation row
         self.rows = [triplet(labels[a], labels[c], labels[w])
@@ -648,34 +654,23 @@ class _TreeCoverCnf:
                      for a, c, w in ((x, y, z), (x, z, y), (y, z, x))]
         self.row_of = {r: i for i, r in enumerate(self.rows)}
 
-        # pos[i][b] is the variable of orientation i in tree slot b
-        self.pos = pos = [list(range(1 + i * k, 1 + i * k + k))
-                          for i in range(len(self.rows))]
-        self.sat = sat = Solver(len(pos) * k)
-        sat.load(self.templates.get((len(labels), k, caterpillars),
-                                    self.closure))
+        super().__init__(Solver(len(self.rows) * k), k,
+                         (len(labels), k, caterpillars), self.closure)
+        add = self.sat.add_clause
         covers = [self.row_of[triplet(*t)] for t in triplets]
         for i in covers:
-            sat.add_clause(pos[i])
+            add(list(range(1 + i * k, 1 + i * k + k)))
         groups: dict = {}  # leaf triple -> its distinct input rows
         for i in dict.fromkeys(covers):
             groups.setdefault(i // 3, []).append(i)
         for b, i in enumerate(max(groups.values(), key=len)[:k]):
-            sat.add_clause([pos[i][b]])  # WLOG, see the class docstring
+            add([1 + i * k + b])  # WLOG, see the class docstring
 
-    def next(self, node_limit: Optional[int]) -> Optional[list[RootedTree]]:
-        """The checked trees of a cover not blocked yet, slot by slot, or
-        None when none is left.
-
-        Raises BudgetExceeded when the solver's conflicts, summed over
-        every call, would pass node_limit."""
-        model = _budgeted_model(self.sat, node_limit)
-        if model is None:
-            return None
+    def _decode(self, model: list[bool]) -> list[RootedTree]:
         out = []
         for b in range(self.k):
-            tree = aho_build({r for r, v in zip(self.rows, self.pos)
-                              if model[v[b]]})
+            tree = aho_build({r for r, v in zip(self.rows, model[1 + b::self.k])
+                              if v})
             if tree is None or self.caterpillars and not is_caterpillar(tree):
                 raise RuntimeError(
                     f"tree slot {b} of the CNF model is not a "
@@ -686,15 +681,9 @@ class _TreeCoverCnf:
                 raise RuntimeError(f"CNF model trees do not display {t}")
         return out
 
-    def block(self, trees) -> None:
-        """Exclude the cover: one clause per slot arrangement of the
-        multiset, negating the orientation literals each tree displays."""
-        rows = {t: [self.row_of[r] for r in displayed_triplets(t)]
-                for t in trees}
-        for arrangement in dict.fromkeys(permutations(trees)):
-            self.sat.add_clause([-self.pos[i][b]
-                                 for b, t in enumerate(arrangement)
-                                 for i in rows[t]])
+    def _shown(self, tree: RootedTree) -> list[int]:
+        """The slot-0 variables of the triplets the tree displays."""
+        return [1 + self.row_of[r] * self.k for r in displayed_triplets(tree)]
 
 
 def k_tree_compatible(triplets: Iterable[Triplet], k: int,
@@ -706,20 +695,16 @@ def k_tree_compatible(triplets: Iterable[Triplet], k: int,
     over triplet -> block partitions (see _PartitionSearch), tree covers
     from the propositional orientation model (see _TreeCoverCnf).
 
-    ``node_limit`` bounds the CDCL conflicts of a tree cover search
-    (BudgetExceeded past it); the partition search counts no nodes, so
-    a limit with caterpillars_only is a ValueError."""
+    ``node_limit`` bounds the CDCL conflicts of a tree cover search, or
+    the placements of the partition search; BudgetExceeded past it."""
     triplets = sorted(frozenset(triplets), key=lambda t: tuple(map(var_key, t)))
     if k < 1:
         raise ValueError("k must be >= 1")
-    if caterpillars_only and node_limit is not None:
-        raise ValueError("a node limit needs tree covers: the caterpillar "
-                         "search counts no nodes")
     if not triplets:
         return []
     if not caterpillars_only:
         return _TreeCoverCnf(triplets, k).next(node_limit)
-    blocks = _PartitionSearch(triplets, k).run()
+    blocks = _PartitionSearch(triplets, k, node_limit).run()
     if blocks is None:
         return None
     out = []

@@ -9,8 +9,10 @@
   solutions SAT solvers", ACM JEA 2016): after each model it blocks every
   slot arrangement of the found multiset and solves again, until the
   formula is unsatisfiable.
-- ``mode="cdcl"`` (the default; ``"branch_and_bound"`` is accepted as an
-  older name for it) runs the two above.
+- ``mode="cdcl"`` (the default) runs the two above.  ``_SlotCnf`` is
+  the part of the pair-order CNF that ``phylo._TreeCoverCnf`` shares:
+  variable layout, budgeted solve, blocking, enumeration and DIMACS
+  export.
 - ``mode="exhaustive"`` answers both questions by scanning all multisets of
   k full orderings (per-ordering constraint bitmasks, so the inner loop is
   a word OR); it is the independent oracle for the CDCL engine.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from ._sat import Record, Solver as _CnfSolver, Templates as _Templates, record
 from .orderings import (
@@ -41,13 +43,11 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    mode: str = "cdcl"  # or "exhaustive"; "branch_and_bound" reads as "cdcl"
+    mode: str = "cdcl"  # or "exhaustive"
     # CDCL conflicts by default, search nodes in exhaustive mode
     node_limit: Optional[int] = None
 
     def __post_init__(self):
-        if self.mode == "branch_and_bound":
-            object.__setattr__(self, "mode", "cdcl")
         if self.mode not in ("exhaustive", "cdcl"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -75,6 +75,9 @@ class Solution:
 
     def sort_key(self):
         return tuple(o.sort_key() for o in self.orderings)
+
+    def __iter__(self):
+        return iter(self.orderings)
 
     def to_lists(self):
         return [list(o.seq) for o in self.orderings]
@@ -150,21 +153,71 @@ def _exhaustive(inst: Instance, cfg: SolverConfig, want_all: bool):
 
 
 # ---------------------------------------------------------------------------
-# CDCL engine over pairwise order relations
+# CDCL engine: the slot-CNF base, and the pairwise order relations
 
 
-def _budgeted_model(sat: _CnfSolver,
-                    node_limit: Optional[int]) -> Optional[list[bool]]:
-    """sat's model after a new solve, or None if it is unsatisfiable;
-    BudgetExceeded once its conflicts over every solve pass node_limit."""
-    limit = None if node_limit is None else node_limit - sat.conflicts
-    res = sat.solve(conflict_limit=limit)
-    if res is None:
-        raise BudgetExceeded(node_limit)
-    return sat.model() if res else None
+class _SlotCnf:
+    """A CNF over k tree or order slots, solved by the CDCL core, and its
+    checked answers.
+
+    Item i in slot t is variable 1 + i * k + t, so ``model[1 + t::k]``
+    reads slot t.  A subclass loads the clauses of its shape from its
+    ``templates`` cache, adds the clauses of its question, and supplies
+    ``_decode`` (a model to a checked answer) and ``_shown`` (the true
+    slot-0 literals of one member of an answer)."""
+
+    def __init__(self, sat: _CnfSolver, k: int, key: tuple,
+                 build: Callable[..., Record]):
+        sat.load(self.templates.get(key, build))
+        self.sat, self.k = sat, k
+
+    def next(self, node_limit: Optional[int]):
+        """A checked answer not blocked yet, or None when none is left.
+
+        Raises BudgetExceeded when the solver's conflicts, summed over
+        every call, would pass node_limit."""
+        sat = self.sat
+        limit = None if node_limit is None else node_limit - sat.conflicts
+        res = sat.solve(conflict_limit=limit)
+        if res is None:
+            raise BudgetExceeded(node_limit)
+        return self._decode(sat.model()) if res else None
+
+    def block(self, members) -> None:
+        """Exclude an answer: one clause per distinct slot arrangement of
+        its members, negating every literal a member makes true in its
+        slot."""
+        shown = {m: self._shown(m) for m in members}
+        for arrangement in dict.fromkeys(permutations(members)):
+            self.sat.add_clause([-s - t if s > 0 else t - s
+                                 for t, m in enumerate(arrangement)
+                                 for s in shown[m]])
+
+    def answers(self, node_limit: Optional[int]) -> Iterator:
+        """Every answer in turn, each blocked once the next is asked for;
+        node_limit bounds the conflicts over all of them (see next)."""
+        while (answer := self.next(node_limit)) is not None:
+            yield answer
+            self.block(answer)
+
+    def dimacs(self) -> str:
+        """The formula the solver searches, in DIMACS: its root trail as
+        unit clauses, its clauses, and the empty clause once it is
+        refuted at the root.  Learnt clauses would join the clauses, so
+        after a conflict is analysed this is a ValueError."""
+        sat = self.sat
+        if sat.conflicts:
+            raise ValueError("the solver has learnt clauses: its clauses "
+                             "are no longer the formula alone")
+        clauses = [[lit] for lit in sat.trail] + sat.clauses
+        if not sat.ok:
+            clauses.append([])
+        return "".join([f"p cnf {sat.nvars} {len(clauses)}\n",
+                        *(" ".join(map(str, [*c, 0])) + "\n"
+                          for c in clauses)])
 
 
-class _PairOrderCnf:
+class _PairOrderCnf(_SlotCnf):
     """The CNF of an instance over "u precedes v in slot t" Booleans, and a
     checked decoder of its models.
 
@@ -223,9 +276,10 @@ class _PairOrderCnf:
                 before[t][i][j] = lit
                 before[t][j][i] = -lit
 
-        self.sat = sat = _CnfSolver(npairs * k + len(inst.constraints) * k)
-        sat.load(self.templates.get((n, k), self.transitivity))
-        add = sat.add_clause
+        super().__init__(
+            _CnfSolver(npairs * k + len(inst.constraints) * k), k, (n, k),
+            self.transitivity)
+        add = self.sat.add_clause
         allowed = {tuple(p) for p in inst.pi.perms}
         for ci, c in enumerate(inst.constraints):
             sel = npairs * k + ci * k + 1  # selector (ci, t) is sel + t
@@ -239,38 +293,23 @@ class _PairOrderCnf:
         if inst.constraints:
             add([npairs * k + 1])  # selector (0, 0), WLOG: see the docstring
 
-    def next(self, node_limit: Optional[int]) -> Optional[Solution]:
-        """A checked solution not blocked yet, or None when none is left.
-
-        Raises BudgetExceeded when the solver's conflicts, summed over
-        every call, would pass node_limit."""
-        model = _budgeted_model(self.sat, node_limit)
-        if model is None:
-            return None
-        k = self.inst.k
+    def _decode(self, model: list[bool]) -> Solution:
         orderings = []
-        for t in range(k):
+        for t in range(self.k):
             rank = [0] * len(self.vars)  # predecessors in slot t
-            for p, (i, j) in enumerate(self.pairs):
-                rank[j if model[1 + p * k + t] else i] += 1
+            for (i, j), before in zip(self.pairs, model[1 + t::self.k]):
+                rank[j if before else i] += 1
             seq = [None] * len(self.vars)
             for v, r in zip(self.vars, rank):
                 seq[r] = v
             orderings.append(LinearOrdering(seq))
         return _checked(self.inst, Solution(orderings))
 
-    def block(self, sol: Solution) -> None:
-        """Exclude sol: one clause per slot arrangement of the multiset,
-        negating that arrangement's k * C(n, 2) pair literals."""
-        k = self.inst.k
-        for arrangement in dict.fromkeys(permutations(sol.orderings)):
-            clause = []
-            for t, o in enumerate(arrangement):
-                pos = [o.position(v) for v in self.vars]
-                for p, (i, j) in enumerate(self.pairs):
-                    lit = 1 + p * k + t
-                    clause.append(-lit if pos[i] < pos[j] else lit)
-            self.sat.add_clause(clause)
+    def _shown(self, o: LinearOrdering) -> list[int]:
+        """Pair (i, j)'s slot-0 literal, true when i precedes j in o."""
+        pos = [o.position(v) for v in self.vars]
+        return [1 + p * self.k if pos[i] < pos[j] else -1 - p * self.k
+                for p, (i, j) in enumerate(self.pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +345,7 @@ def enumerate_solutions(inst: Instance,
     if cfg.mode == "exhaustive":
         found = _exhaustive(inst, cfg, want_all=True)
     else:
-        cnf = _PairOrderCnf(inst)
-        found = []
-        while (sol := cnf.next(cfg.node_limit)) is not None:
-            found.append(sol)
-            cnf.block(sol)
+        found = list(_PairOrderCnf(inst).answers(cfg.node_limit))
     return sorted(found, key=Solution.sort_key)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import triord
 from triord.cli import main
-from triord.extremal import full_triplet_set
+from triord.extremal import full_triplet_set, tau_cnf
 from triord.gadgets import PI6_GADGET, gadget_instance
 from triord.orderings import format_instance, make_instance, parse_instance
 from triord.phylo import (
@@ -70,13 +70,16 @@ def test_solve_mode_cdcl_and_its_older_name(tmp_path, capsys):
     f = tmp_path / "gadget_pi6.csp"
     f.write_text(format_instance(inst))
     reports = []
-    for mode in ("cdcl", "branch_and_bound", None):
+    for mode in ("cdcl", None):
         flags = ["--mode", mode] if mode else []
         code, report = run(capsys, "solve", str(f), "--enumerate", *flags)
         assert code == 0
         report.pop("wall_time_s")
         reports.append(report)
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1]
+    with pytest.raises(SystemExit) as e:  # the old alias is not a choice
+        main(["solve", str(f), "--mode", "branch_and_bound"])
+    assert e.value.code == 2
 
 
 def test_solve_malformed_file(tmp_path, capsys):
@@ -237,15 +240,24 @@ def test_tau_budget_unknown(capsys):
     assert report["result"]["decision"] is None
 
 
-def test_tau_export_lp(tmp_path, capsys):
-    lp = tmp_path / "model.lp"
+def test_tau_export_cnf(tmp_path, capsys):
+    path = tmp_path / "model.cnf"
     code, report = run(capsys, "tau", "--n", "4", "--k", "3",
-                       "--export-lp", str(lp))
-    assert code == 0
-    text = lp.read_text()
-    assert text.startswith("Minimize") and text.rstrip().endswith("End")
-    code, report = run(capsys, "tau", "--n", "4", "--export-lp", str(lp))
-    assert code == 2  # needs an explicit --k
+                       "--export-cnf", str(path))
+    assert code == 0 and report["result"]["cnf_file"] == str(path)
+    text = path.read_text()
+    header, *lines = text.splitlines()
+    # 3 orientations of each of the 4 leaf triples, in 3 slots
+    assert header == f"p cnf 36 {len(lines)}"
+    assert text == tau_cnf(4, 3).dimacs()
+    code, report = run(capsys, "tau", "--n", "4", "--k", "2",
+                       "--export-cnf", str(path))
+    assert code == 1 and "0" in path.read_text().splitlines()
+    code, report = run(capsys, "tau", "--n", "4", "--export-cnf", str(path))
+    assert code == 2 and "--k" in report["error"]
+    code, report = run(capsys, "tau", "--n", "2", "--k", "1",
+                       "--export-cnf", str(path))
+    assert code == 2 and "leaves" in report["error"]
 
 
 def test_tau_bad_n(capsys):
@@ -470,14 +482,17 @@ def test_compat_node_limit(tmp_path, capsys):
     assert code == 1 and report["result"]["compatible"] is False
 
 
-def test_compat_caterpillar_rejects_node_limit(tmp_path, capsys):
+def test_compat_caterpillar_node_limit(tmp_path, capsys):
     f = tmp_path / "x.trip"
     f.write_text(format_triplets(SEPARATING))
-    code, report = run(capsys, "compat", str(f), "--k", "2",
-                       "--caterpillar", "--node-limit", "100")
-    assert code == 2
-    assert "node limit" in report["error"]
-    assert "result" not in report
+    code, report = run(capsys, "compat", str(f), "--k", "3",
+                       "--caterpillar", "--node-limit", "1")
+    assert code == 2 and report["result"]["compatible"] is None
+    for k, want in ((2, 1), (3, 0)):
+        code, report = run(capsys, "compat", str(f), "--k", str(k),
+                           "--caterpillar", "--node-limit", "10000")
+        assert code == want
+        assert report["result"]["compatible"] is (want == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from triord.extremal import (
-    Rooting, UnrootedTree, export_lp_model, find_missing_triplet,
+    Rooting, UnrootedTree, find_missing_triplet,
     full_triplet_set, greedy_caterpillar_cover, log_upper_bound,
     root_location, rootings_of, tau, tau_decision, unroot,
 )
@@ -166,24 +166,6 @@ def test_tau_decision_rejects_bad_input():
         tau_decision(2, 1)
     with pytest.raises(ValueError):
         tau_decision(4, 0)
-
-
-def test_export_lp_model_structure():
-    n, k = 4, 2
-    text = export_lp_model(n, k)
-    lines = text.splitlines()
-    assert lines[0] == "Minimize" and lines[-1] == "End"
-    assert sum(1 for ln in lines if ln.startswith(" cover_")) == 3 * comb(n, 3)
-    assert sum(1 for ln in lines if ln.startswith(" one_")) == k * comb(n, 3)
-    # 48 distinct closure implications per 4-subset of leaves
-    # (24 orderings of the subset, two conclusions each)
-    assert sum(1 for ln in lines if ln.startswith(" cl")) == \
-        k * 48 * comb(n, 4)
-    binaries = lines[lines.index("Binary") + 1:-1]
-    assert len(binaries) == 3 * comb(n, 3) * k
-    cat_text = export_lp_model(n, k, caterpillar_mode=True)
-    assert sum(1 for ln in cat_text.splitlines()
-               if ln.startswith(" cat")) == k * 12 * comb(n, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -279,9 +279,10 @@ def test_k_tree_node_limit():
         k_tree_compatible(everything, 3, node_limit=5)
     assert k_tree_compatible(everything, 3, node_limit=1000) is None
     assert len(k_tree_compatible(everything, 4, node_limit=1000)) == 4
-    # the partition search counts no nodes, so it takes no limit
-    with pytest.raises(ValueError):
-        k_tree_compatible(everything, 4, True, node_limit=1000)
+    # the partition search counts its placements
+    with pytest.raises(BudgetExceeded):
+        k_tree_compatible(everything, 4, True, node_limit=1)
+    assert k_tree_compatible(everything, 3, True, node_limit=10**6) is None
 
 
 def tree_cnf_by_closure(trips, n, k, caterpillars):

@@ -27,7 +27,7 @@ from triord.reductions import (
 )
 from triord.solver import Solution, SolverConfig, check_solution, solve
 
-BNB = SolverConfig(mode="branch_and_bound")
+CDCL = SolverConfig()
 EXH = SolverConfig(mode="exhaustive")
 
 
@@ -111,7 +111,7 @@ def test_2pi0_to_2pi1_lift_and_decision():
     cs = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     src = make_instance(0, 2, range(3), cs)
     assert solve(src, EXH) is None
-    assert solve(reduce_2pi0_to_2pi1(src), BNB) is None
+    assert solve(reduce_2pi0_to_2pi1(src), CDCL) is None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from triord import _sat
 from triord._sat import Solver
-from triord.extremal import full_triplet_set
+from triord.extremal import full_triplet_set, tau_cnf, tau_decision
 from triord.gadgets import builtin_gadget, gadget_instance
 from triord.orderings import make_instance
 from triord.phylo import _TreeCoverCnf, triplet
@@ -839,3 +839,67 @@ def test_record_over_the_templates_bound_is_not_kept(monkeypatch, cls, build,
     for _ in range(2):
         assert cnf_fingerprint(build().sat) == digest
     assert len(built) == 2 and built[0] == built[1]  # built each time
+
+
+# ---------------------------------------------------------------------------
+# DIMACS export of a slot CNF
+
+
+def parse_dimacs(text):
+    """(nvars, clauses) of DIMACS text with one clause per line."""
+    header, *lines = text.splitlines()
+    p, cnf, nvars, nclauses = header.split()
+    assert (p, cnf) == ("p", "cnf")
+    clauses = []
+    for line in lines:
+        *lits, end = map(int, line.split())
+        assert end == 0 and 0 not in lits
+        clauses.append(lits)
+    assert len(clauses) == int(nclauses)
+    return int(nvars), clauses
+
+
+def reloaded_verdict(cnf):
+    """The export of cnf, checked against its solver, then solved by a
+    fresh solver that add_clause builds from it."""
+    sat = cnf.sat
+    nvars, clauses = parse_dimacs(cnf.dimacs())
+    assert nvars == sat.nvars
+    assert clauses == ([[lit] for lit in sat.trail] + sat.clauses
+                       + ([] if sat.ok else [[]]))
+    twin = Solver(nvars)
+    for c in clauses:
+        twin.add_clause(c)
+    return twin.solve()
+
+
+@pytest.mark.parametrize("caterpillars", [False, True],
+                         ids=["tree", "caterpillar"])
+def test_tau_dimacs_reloads_to_the_same_verdict(caterpillars):
+    for n in range(4, 7):
+        for k in range(1, 5):
+            cnf = tau_cnf(n, k, caterpillars)
+            assert reloaded_verdict(cnf) == \
+                tau_decision(n, k, caterpillars).answer
+    # k = 2 pins the three orientations of one leaf triple into two slots
+    refuted = tau_cnf(4, 2)
+    assert not refuted.sat.ok and "0" in refuted.dimacs().splitlines()
+
+
+def test_pair_order_dimacs_reloads_to_the_same_verdict():
+    rng = random.Random(29)
+    for k in (1, 2):
+        for _ in range(6):
+            inst = make_instance(9, k, range(5), [
+                tuple(rng.sample(range(5), 3)) for _ in range(6)])
+            cnf = _PairOrderCnf(inst)
+            assert reloaded_verdict(cnf) == (cnf.next(None) is not None)
+
+
+def test_dimacs_refuses_once_a_conflict_is_analysed():
+    cnf = tau_cnf(5, 3)  # tau(5) = 4: refuted only after some conflicts
+    before = cnf.dimacs()
+    assert cnf.next(None) is None and cnf.sat.conflicts > 0
+    with pytest.raises(ValueError):
+        cnf.dimacs()
+    assert before == tau_cnf(5, 3).dimacs()

@@ -19,9 +19,8 @@ from triord.solver import (
 )
 from triord.gadgets import builtin_gadget, gadget_instance
 
-BNB = SolverConfig(mode="branch_and_bound")
+CDCL = SolverConfig()
 EXH = SolverConfig(mode="exhaustive")
-BNB_ALL = SolverConfig(mode="branch_and_bound")
 EXH_ALL = SolverConfig(mode="exhaustive")
 
 
@@ -47,11 +46,11 @@ def test_check_solution_domain_mismatch():
 
 def test_solve_examples():
     sat = make_instance(0, 1, "abc", [("a", "b", "c")])
-    sol = solve(sat, BNB)
+    sol = solve(sat, CDCL)
     assert sol is not None and check_solution(sat, sol)
 
     unsat = make_instance(0, 1, "abc", [("a", "b", "c"), ("c", "b", "a")])
-    assert solve(unsat, BNB) is None
+    assert solve(unsat, CDCL) is None
     assert solve(unsat, EXH) is None
 
 
@@ -65,7 +64,7 @@ def test_enumerate_k2_multisets_unconstrained():
     # multisets of size 2 over m! orderings
     inst = make_instance(0, 2, range(3), [])
     n = factorial(3)
-    assert len(enumerate_solutions(inst, BNB_ALL)) == n * (n + 1) // 2
+    assert len(enumerate_solutions(inst, CDCL)) == n * (n + 1) // 2
 
 
 def _random_instances(rng, count, pi_choices, max_v=4, max_c=3, max_k=2):
@@ -81,10 +80,10 @@ def _random_instances(rng, count, pi_choices, max_v=4, max_c=3, max_k=2):
 def test_bnb_matches_exhaustive_on_random_instances():
     rng = random.Random(7)
     for inst in _random_instances(rng, 80, list(range(11))):
-        got = enumerate_solutions(inst, BNB_ALL)
+        got = enumerate_solutions(inst, CDCL)
         want = enumerate_solutions(inst, EXH_ALL)
         assert got == want, inst
-        sol = solve(inst, BNB)
+        sol = solve(inst, CDCL)
         assert (sol is not None) == bool(want)
         if sol is not None:
             assert check_solution(inst, sol)
@@ -93,15 +92,15 @@ def test_bnb_matches_exhaustive_on_random_instances():
 def test_monotone_in_k():
     rng = random.Random(99)
     for inst in _random_instances(rng, 40, list(range(11)), max_k=1):
-        if solve(inst, BNB) is not None:
+        if solve(inst, CDCL) is not None:
             bigger = make_instance(inst.pi.index, inst.k + 1,
                                    inst.vars, inst.constraints)
-            assert solve(bigger, BNB) is not None
+            assert solve(bigger, CDCL) is not None
 
 
 def test_node_limit():
     inst = make_instance(0, 2, range(6), [])
-    cfg = SolverConfig(mode="branch_and_bound", node_limit=50)
+    cfg = SolverConfig(node_limit=50)
     with pytest.raises(BudgetExceeded):
         enumerate_solutions(inst, cfg)
 
@@ -120,7 +119,7 @@ def test_trivial_families_always_satisfiable():
             inst = make_instance(i, 2, range(m), cs)
             alpha = ordering(*rng.sample(range(m), m))
             assert check_solution(inst, trivial_pair_solution(inst, alpha))
-            assert solve(inst, BNB) is not None
+            assert solve(inst, CDCL) is not None
 
 
 @pytest.mark.parametrize("name, conflicts, count", [("pi5", 35, 4),
@@ -151,14 +150,14 @@ def _small_instances(draw, pi):
 @given(data=st.data())
 def test_enumeration_matches_exhaustive(pi, data):
     inst = data.draw(_small_instances(pi))
-    assert enumerate_solutions(inst, BNB_ALL) == \
+    assert enumerate_solutions(inst, CDCL) == \
         enumerate_solutions(inst, EXH_ALL)
 
 
 def test_solve_trivial_family_gives_reversal_pair():
     inst = make_instance(7, 2, range(1, 6),
                          [(1, 2, 3), (3, 2, 1), (4, 5, 1), (2, 5, 4)])
-    sol = solve(inst, BNB)
+    sol = solve(inst, CDCL)
     a, b = sol.orderings
     assert b == reversal(a) and check_solution(inst, sol)
     # the exhaustive oracle takes no shortcut: it scans, so a budget of
@@ -169,9 +168,10 @@ def test_solve_trivial_family_gives_reversal_pair():
 
 def test_cdcl_mode_name_and_its_older_alias():
     assert SolverConfig().mode == "cdcl"
-    assert SolverConfig(mode="branch_and_bound") == SolverConfig(mode="cdcl")
-    with pytest.raises(ValueError):
-        SolverConfig(mode="bnb")
+    # the older name "branch_and_bound" is gone with the search it named
+    for mode in ("branch_and_bound", "bnb"):
+        with pytest.raises(ValueError):
+            SolverConfig(mode=mode)
 
 
 def test_constraint_masks_follow_satisfies():
