@@ -3,6 +3,7 @@ oracle, the caterpillar/digraph equivalence, and serialization."""
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
+import hashlib
 from math import comb
 import random
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from triord import phylo
 from triord.orderings import (
-    make_instance, ordering, pi_family, reversal, satisfies,
+    make_instance, ordering, pi_family, reversal, satisfies, var_key,
 )
 from triord.phylo import (
     Digraph, RootedTree, aho_build, caterpillar_compatible, caterpillar_of,
@@ -22,6 +23,7 @@ from triord.phylo import (
     to_newick, triplet, triplet_digraph, triplet_labels, two_dicolorable,
 )
 from triord.extremal import full_triplet_set
+from triord.reductions import reduce_outdeg3_to_2cat
 from triord.solver import BudgetExceeded, solve
 
 
@@ -283,6 +285,57 @@ def test_k_tree_node_limit():
     with pytest.raises(BudgetExceeded):
         k_tree_compatible(everything, 4, True, node_limit=1)
     assert k_tree_compatible(everything, 3, True, node_limit=10**6) is None
+
+
+def partition_questions():
+    """A fixed list of (triplets, k) for the caterpillar partition search:
+    the 2-caterpillar targets of every 3-vertex digraph and of every 13th
+    4-vertex one (criterion 7's), of 150 seeded 6-9-vertex digraphs with
+    out-degree 2 or 3, then 200 sparse triplet sets with k = 1..4 and 200
+    dense ones with k = 2..4, which make the search backtrack."""
+    out = []
+    for n, step in ((3, 1), (4, 13)):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for bits in range(0, 1 << len(pairs), step):
+            arcs = {p for i, p in enumerate(pairs) if bits >> i & 1}
+            out.append((reduce_outdeg3_to_2cat(Digraph(range(n), arcs)), 2))
+    rng = random.Random(2014)
+    for _ in range(150):
+        n = rng.randint(6, 9)
+        arcs = set()
+        for u in range(n):
+            outs = rng.sample([v for v in range(n) if v != u], 3)
+            arcs |= {(u, v) for v in outs[:rng.randint(2, 3)]}
+        out.append((reduce_outdeg3_to_2cat(Digraph(range(n), arcs)), 2))
+    for dense in (False, True):
+        for _ in range(200):
+            labels = range(1, rng.randint(5, 7 if dense else 8) + 1)
+            pool = [triplet(a, b, c)
+                    for a, b, c in permutations(labels, 3) if a < b]
+            k = rng.randint(2 if dense else 1, 4)
+            size = rng.randint(5 * k, 12 * k) if dense else rng.randint(3, 20)
+            out.append((rng.sample(pool, min(size, len(pool))), k))
+    return [(sorted(set(t), key=lambda r: tuple(map(var_key, r))), k)
+            for t, k in out if t]
+
+
+def test_partition_search_fingerprint():
+    # the placements the caterpillar search makes, pinned: a rewrite of
+    # _PartitionSearch must give the same nodes and blocks on every input,
+    # answer at limit = nodes and raise BudgetExceeded at nodes - 1
+    digest, total, found = hashlib.sha256(), 0, 0
+    for trips, k in partition_questions():
+        search = phylo._PartitionSearch(trips, k)
+        blocks = search.run()
+        total += search.nodes
+        found += blocks is not None
+        digest.update(repr((search.nodes, blocks)).encode())
+        assert phylo._PartitionSearch(trips, k, search.nodes).run() == blocks
+        with pytest.raises(BudgetExceeded):
+            phylo._PartitionSearch(trips, k, search.nodes - 1).run()
+    assert (total, found) == (10714, 772)
+    assert digest.hexdigest() == (
+        "13a4cbd8f926f434b7d9cd112835e41c103a22e27a1be73c475ac6861904c5e3")
 
 
 def tree_cnf_by_closure(trips, n, k, caterpillars):
