@@ -4,8 +4,12 @@ Every subcommand prints one JSON report (``"schema": 1``) to stdout, on
 one line (pipe it through ``python -m json.tool`` to indent it), and
 exits with 0 for a positive mathematical answer (satisfiable / unique /
 compatible / decided value), 1 for a negative one, and 2 for unknown
-answers and errors.  Timings and node counts appear in the report but
-never influence the exit code.  A negative ``--node-limit`` is an error.
+answers and errors.  Timings and search counts (``tau``'s ``conflicts``)
+appear in the report but never influence the exit code.  A negative
+``--node-limit`` is an error.  So is an internal fault: any exception
+that escapes a subcommand gives the one-line error report
+(``"internal error: <type>: <message>"``) and exit 2, never a traceback
+with exit 1, which would read as a "no".
 
 File formats: ``.csp`` ordering instances, ``.trip`` triplet lists,
 Newick trees, DOT digraphs, and DIMACS export of the τ formula.
@@ -210,7 +214,7 @@ def _cmd_tau(args, t0) -> int:
                              node_limit=args.node_limit)
             payload = {
                 "n": args.n, "k": args.k, "caterpillar": args.caterpillar,
-                "decision": d.answer, "nodes": d.nodes,
+                "decision": d.answer, "conflicts": d.nodes,
                 "trees": [to_newick(t) for t in d.trees] if d.trees else None,
             }
             code = {True: EXIT_YES, False: EXIT_NO,
@@ -220,7 +224,7 @@ def _cmd_tau(args, t0) -> int:
             payload = {
                 "n": args.n, "caterpillar": args.caterpillar,
                 "value": b.value, "lower_bound": b.lower_bound,
-                "exact": b.exact, "nodes": b.nodes,
+                "exact": b.exact, "conflicts": b.nodes,
                 "trees": [to_newick(t) for t in b.witnesses]
                 if b.witnesses else None,
             }
@@ -355,9 +359,12 @@ def main(argv=None) -> int:
             raise _CliError("--node-limit must be >= 0")
         return args.func(args, t0)
     except _CliError as e:
-        sys.stdout.write(json.dumps({"schema": 1, "command": args.command,
-                                     "error": str(e)}) + "\n")
-        return EXIT_UNKNOWN
+        error = str(e)
+    except Exception as e:  # a fault is no answer, so never exit 1
+        error = f"internal error: {type(e).__name__}: {e}"
+    sys.stdout.write(json.dumps({"schema": 1, "command": args.command,
+                                 "error": error}) + "\n")
+    return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

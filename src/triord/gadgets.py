@@ -31,7 +31,7 @@ from .orderings import (
 )
 from .phylo import (
     RootedTree, _TreeCoverCnf, caterpillar_of, cherries, displayed_triplets,
-    enumerate_trees, ordering_of,
+    enumerate_trees, ordering_of, to_newick,
 )
 from .solver import Solution, SolverConfig, enumerate_solutions
 
@@ -84,7 +84,7 @@ class GadgetReport:
 def _payload(sol):
     if isinstance(sol, Solution):
         return sol.to_lists()
-    return [str(x) for x in sol]
+    return [to_newick(t) for t in sol]
 
 
 def gadget_instance(generators: list[LinearOrdering], pi, k: int) -> Instance:

@@ -19,6 +19,7 @@ cherry tie towards the smaller label, and ``caterpillar_of`` inverts it.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import itemgetter
@@ -404,130 +405,104 @@ def caterpillar_compatible(triplets: Iterable[Triplet],
 class _PartitionSearch:
     """Complete search over triplet -> caterpillar-block partitions.
 
-    Branches on the most constrained unassigned triplet (fewest feasible
-    blocks), cascading forced assignments.  Per block it maintains the
+    Branches on the most constrained unplaced triplet (fewest feasible
+    blocks), cascading forced placements.  Per block it maintains the
     transitive closure of the block's triplet digraph, so a placement is
     infeasible exactly when it would close a cycle.  Identical empty
     blocks are interchangeable, so a triplet may only open the first of
-    them.  ``nodes`` counts the placements tried; past ``node_limit``
-    the search raises BudgetExceeded.
+    them.  The used blocks are therefore always a prefix of ``blocks``: a
+    block is opened only as the first empty one, and placements are
+    undone last first, so a block empties only after every later block
+    has.  ``nodes`` counts the placements; past ``node_limit`` the search
+    raises BudgetExceeded.
     """
 
     def __init__(self, triplets: list, k: int,
                  node_limit: Optional[int] = None):
         self.trips = triplets
-        self.k = k
         self.nodes, self.node_limit = 0, node_limit
-        self.labels = sorted(triplet_labels(triplets), key=var_key)
-        self.lidx = {x: i for i, x in enumerate(self.labels)}
-        self.itrips = [tuple(self.lidx[x] for x in t) for t in triplets]
+        labels = sorted(triplet_labels(triplets), key=var_key)
+        lidx = {x: i for i, x in enumerate(labels)}
+        self.itrips = [tuple(lidx[x] for x in t) for t in triplets]
         # scan triplets in decreasing label-connectivity order so ties in
         # the candidate counts break toward the densest part of the input
-        freq = [0] * len(self.labels)
-        for t in self.itrips:
-            for x in t:
-                freq[x] += 1
-        self.order = sorted(range(len(triplets)),
-                            key=lambda i: -sum(freq[x]
-                                               for x in self.itrips[i]))
-        self.assigned: list[list[int]] = [[] for _ in range(k)]
+        freq = Counter(x for t in self.itrips for x in t)
+        self.order = sorted(range(len(triplets)), key=lambda i: -sum(
+            freq[x] for x in self.itrips[i]))
+        self.blocks: list[list[int]] = [[] for _ in range(k)]
         # reach[b][u] = bitmask of vertices reachable from u
-        self.reach = [[0] * len(self.labels) for _ in range(k)]
+        self.reach = [[0] * len(labels) for _ in range(k)]
 
-    def _feasible(self, b: int, i: int) -> bool:
+    def _place(self, i: int, b: int, pending: set) -> tuple:
+        """Put triplet i, a feasible candidate, in block b and close the
+        block's reach over its arcs; return the undo record."""
+        self.nodes += 1
+        if self.node_limit is not None and self.nodes > self.node_limit:
+            raise BudgetExceeded(self.node_limit)
         a, c, w = self.itrips[i]
         r = self.reach[b]
-        return not (r[a] >> w & 1 or r[c] >> w & 1)
-
-    def _place(self, b: int, t: Triplet, undo: list) -> bool:
-        a, c, w = self.lidx[t[0]], self.lidx[t[1]], self.lidx[t[2]]
-        r = self.reach[b]
-        if r[a] >> w & 1 or r[c] >> w & 1:
-            return False
         gain = r[a] | r[c] | 1 << a | 1 << c
         wbit = 1 << w
-        for u in range(len(self.labels)):
+        undo = []
+        for u in range(len(r)):
             if (u == w or r[u] & wbit) and gain & ~r[u]:
                 undo.append((u, r[u]))
                 r[u] |= gain
-        return True
+        self.blocks[b].append(i)
+        pending.discard(i)
+        return i, b, undo
 
-    def _unplace(self, b: int, undo: list) -> None:
-        for u, old in reversed(undo):
+    def _unplace(self, record: tuple, pending: set) -> None:
+        i, b, undo = record
+        for u, old in undo:
             self.reach[b][u] = old
+        self.blocks[b].pop()
+        pending.add(i)
 
     def _candidates(self, i: int) -> list[int]:
+        """The used blocks triplet i closes no cycle in, then the first
+        empty block, if any."""
+        a, c, w = self.itrips[i]
         out = []
-        opened = False
-        for b in range(self.k):
-            if not self.assigned[b]:
-                if not opened:
-                    out.append(b)  # only the first empty block
-                    opened = True
-            elif self._feasible(b, i):
+        for b, r in enumerate(self.reach):
+            if not self.blocks[b]:
+                return out + [b]
+            if not (r[a] >> w & 1 or r[c] >> w & 1):
                 out.append(b)
         return out
 
     def run(self) -> Optional[list[list[Triplet]]]:
         if self._search(set(range(len(self.trips)))):
             return [[self.trips[i] for i in block]
-                    for block in self.assigned if block]
+                    for block in self.blocks if block]
         return None
 
     def _search(self, pending: set) -> bool:
-        placed: list[tuple[int, int, list]] = []
-
-        def undo_all():
-            for i, b, undo in reversed(placed):
-                self.assigned[b].pop()
-                self._unplace(b, undo)
-                pending.add(i)
-
-        # cascade forced placements, then branch on the tightest triplet
-        while True:
-            if not pending:
-                return True
+        # cascade forced placements in a loop, then branch (recurse) on the
+        # tightest triplet; one with no candidate is a dead end
+        placed = []
+        while pending:
             best, best_cands = None, None
             for i in self.order:
-                if i not in pending:
-                    continue
-                cands = self._candidates(i)
-                if not cands:
-                    undo_all()
-                    return False
-                if len(cands) == 1 or best is None or \
-                        len(cands) < len(best_cands):
-                    best, best_cands = i, cands
-                    if len(cands) == 1:
-                        break
-            if len(best_cands) > 1:
+                if i in pending:
+                    cands = self._candidates(i)
+                    if best is None or len(cands) < len(best_cands):
+                        best, best_cands = i, cands
+                        if len(cands) <= 1:
+                            break
+            if len(best_cands) != 1:
                 break
-            if not self._assign(best, best_cands[0], pending, placed):
-                undo_all()
-                return False
+            placed.append(self._place(best, best_cands[0], pending))
+        if not pending:
+            return True
         for b in best_cands:
-            if self._assign(best, b, pending, placed):
-                if self._search(pending):
-                    return True
-                i, bb, undo = placed.pop()
-                self.assigned[bb].pop()
-                self._unplace(bb, undo)
-                pending.add(i)
-        undo_all()
+            placed.append(self._place(best, b, pending))
+            if self._search(pending):
+                return True
+            self._unplace(placed.pop(), pending)
+        for record in reversed(placed):
+            self._unplace(record, pending)
         return False
-
-    def _assign(self, i: int, b: int, pending: set, placed: list) -> bool:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            raise BudgetExceeded(self.node_limit)
-        undo: list = []
-        if not self._place(b, self.trips[i], undo):
-            self._unplace(b, undo)
-            return False
-        self.assigned[b].append(i)
-        pending.discard(i)
-        placed.append((i, b, undo))
-        return True
 
 
 def _cherry(a, b, w) -> tuple:

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import triord
+from triord import cli
 from triord.cli import main
-from triord.extremal import full_triplet_set, tau_cnf
+from triord.extremal import full_triplet_set, tau_cnf, tau_decision
 from triord.gadgets import PI6_GADGET, gadget_instance
 from triord.orderings import format_instance, make_instance, parse_instance
 from triord.phylo import (
@@ -195,6 +196,15 @@ def test_gadget_verify_tree_triple_budget_unknown(capsys):
     assert len(report["result"]["trees"]) == 3
 
 
+def test_gadget_verify_tree_triple_reports_newick(capsys):
+    code, report = run(capsys, "gadget-verify", "tree-triple")
+    assert code == 0 and report["result"]["unique"] is True
+    covers = report["result"]["solutions"]
+    assert len(covers) == 1
+    assert {parse_newick(s) for s in covers[0]} == \
+        {parse_newick(s) for s in report["result"]["trees"]}
+
+
 def test_gadget_verify_tree_triple_rejects_no_symmetry(capsys):
     code, report = run(capsys, "gadget-verify", "tree-triple",
                        "--no-symmetry")
@@ -219,6 +229,10 @@ def test_tau_decision_exit_codes(capsys):
     assert code == 1 and report["result"]["decision"] is False
     code, report = run(capsys, "tau", "--n", "4", "--k", "3", "--caterpillar")
     assert code == 0 and report["result"]["decision"] is True
+    # the search count is named for its unit, the CDCL conflicts
+    code, report = run(capsys, "tau", "--n", "6", "--k", "4")
+    assert code == 0 and "nodes" not in report["result"]
+    assert report["result"]["conflicts"] == tau_decision(6, 4).nodes == 11
 
 
 @pytest.mark.parametrize("flags", [[], ["--caterpillar"]])
@@ -238,6 +252,7 @@ def test_tau_budget_unknown(capsys):
                        "--node-limit", "2")
     assert code == 2
     assert report["result"]["decision"] is None
+    assert report["result"]["conflicts"] == 2
 
 
 def test_tau_export_cnf(tmp_path, capsys):
@@ -439,6 +454,42 @@ def test_shared_parser_leaks_no_state(tmp_path, capsys):
             (fresh_code, without_time(json.loads(out)))
 
 
+def test_internal_fault_is_an_error_report(tmp_path, capsys, monkeypatch):
+    # an exception escaping a subcommand is no answer: one JSON error
+    # line and exit 2, never a traceback with exit 1 (which means "no")
+    def broken(d):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "two_dicolorable", broken)
+    f = tmp_path / "g.dot"
+    f.write_text(to_dot(Digraph(frozenset([1, 2]), frozenset([(1, 2)]))))
+    code = main(["dicolor", str(f)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out.count("\n") == 1 and not err
+    report = json.loads(out)
+    assert report == {"schema": 1, "command": "dicolor",
+                      "error": "internal error: RuntimeError: boom"}
+
+
+@pytest.mark.parametrize("ext", ["dot", "trip"])
+def test_deep_inputs_never_read_as_no(tmp_path, capsys, ext):
+    # 1,200 elements: an arc-free digraph (2-dicolorable) and the chain
+    # x{i} x{i+1} | x{i+2} (one caterpillar); whatever the recursion
+    # does, the answer is yes, unknown or an error, never exit 1
+    f = tmp_path / f"deep.{ext}"
+    if ext == "dot":
+        f.write_text(to_dot(Digraph(frozenset(range(1200)), frozenset())))
+        argv = ["dicolor", str(f)]
+    else:
+        f.write_text(format_triplets(triplet(f"x{i}", f"x{i + 1}", f"x{i + 2}")
+                                     for i in range(1198)))
+        argv = ["compat", str(f), "--k", "1", "--caterpillar"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2) and out.count("\n") == 1 and not err
+    assert "error" in json.loads(out) or code == 0
+
+
 def test_entry_point_prints_one_json_line(tmp_path):
     csp = tmp_path / "x.csp"
     csp.write_text(format_instance(
@@ -540,6 +591,7 @@ def test_mutated_input_files(tmp_path, capsys, ext, data):
     report = json.loads(out)
     if code == 2:
         assert report["error"] and "result" not in report
+        assert not report["error"].startswith("internal error")
     else:
         assert code in (0, 1) and "error" not in report
         assert report["result"]
