@@ -89,10 +89,14 @@ def tau_cnf(n: int, k: int, caterpillar_mode: bool = False) -> _TreeCoverCnf:
 
 
 def tau_decision(n: int, k: int, caterpillar_mode: bool = False,
-                 node_limit: Optional[int] = None) -> TauDecision:
+                 node_limit: Optional[int] = None,
+                 cnf: Optional[_TreeCoverCnf] = None) -> TauDecision:
     """Decide whether k trees (caterpillars) suffice to display T_n;
-    ``node_limit`` caps the CDCL conflicts."""
-    cnf = tau_cnf(n, k, caterpillar_mode)
+    ``node_limit`` caps the CDCL conflicts.  ``cnf`` is the formula to
+    solve: ``tau_cnf(n, k, caterpillar_mode)``, built here unless it is
+    given (one built before, say to export it, and not yet solved)."""
+    if cnf is None:
+        cnf = tau_cnf(n, k, caterpillar_mode)
     try:
         trees = cnf.next(node_limit)
     except BudgetExceeded:

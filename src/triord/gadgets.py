@@ -41,7 +41,6 @@ SYMMETRY_KINDS = ("none", "per_order_reversal")
 @dataclass(frozen=True)
 class SymmetrySpec:
     kind: str
-    description: str = ""
 
     def __post_init__(self):
         if self.kind not in SYMMETRY_KINDS:
@@ -56,16 +55,13 @@ class SymmetrySpec:
         return Solution(self.canonical_member(o) for o in sol.orderings)
 
 
-NO_SYMMETRY = SymmetrySpec("none", "no symmetry")
-PER_ORDER_REVERSAL = SymmetrySpec(
-    "per_order_reversal",
-    "each member ordering is identified with its reversal")
+NO_SYMMETRY = SymmetrySpec("none")
+# each member ordering is identified with its reversal
+PER_ORDER_REVERSAL = SymmetrySpec("per_order_reversal")
 
 
 @dataclass(frozen=True)
 class GadgetReport:
-    instance: Optional[Instance]
-    expected: tuple
     found: tuple
     unique: bool
     raw_ordered_count: int  # solutions counted as ordered tuples
@@ -116,16 +112,11 @@ def verify_uniqueness(generators: list[LinearOrdering], pi, k: int,
     """Enumerate all solutions of the gadget instance and compare with the
     generator multiset modulo the given symmetry."""
     inst = gadget_instance(generators, pi, k)
-    cfg = SolverConfig(node_limit=node_limit)
-    found = enumerate_solutions(inst, cfg)
-    expected = (Solution(generators),)
-    found_q = {sym.canonical(s) for s in found}
-    expected_q = {sym.canonical(s) for s in expected}
+    found = enumerate_solutions(inst, SolverConfig(node_limit=node_limit))
+    expected = {sym.canonical(Solution(generators))}
     return GadgetReport(
-        instance=inst,
-        expected=expected,
         found=tuple(found),
-        unique=found_q == expected_q,
+        unique={sym.canonical(s) for s in found} == expected,
         raw_ordered_count=sum(_ordered_count(s.orderings) for s in found),
         symmetry=sym,
     )
@@ -184,8 +175,6 @@ def verify_tree_uniqueness(triple: tuple[RootedTree, RootedTree, RootedTree],
                                      for c in covers for t in c):
         raise RuntimeError("covering triple contains a multi-cherry tree")
     return GadgetReport(
-        instance=None,
-        expected=(tuple(triple),),
         found=tuple(sorted(covers, key=lambda c: [t.sort_key() for t in c])),
         unique=covers == {tuple(sorted(triple, key=RootedTree.sort_key))},
         raw_ordered_count=sum(_ordered_count(c) for c in covers),

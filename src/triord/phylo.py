@@ -697,27 +697,41 @@ def k_tree_compatible(triplets: Iterable[Triplet], k: int,
 
 
 def two_dicolorable(d: Digraph) -> Optional[dict]:
-    """A 2-coloring whose color classes induce acyclic subgraphs, or None."""
+    """A 2-coloring whose color classes induce acyclic subgraphs, or None.
+
+    Backtracking without recursion: vertices in ``var_key`` order, color
+    0 before 1, back to the last vertex when both fail.  A class is
+    acyclic before v joins it, so v may join unless a path inside the
+    class leads from v back to v."""
     verts = sorted(d.vertices, key=var_key)
+    succ: dict = {v: [] for v in verts}
+    for u, w in d.arcs:
+        succ[u].append(w)
     color: dict = {}
 
-    def class_acyclic(cls) -> bool:
-        members = {v for v, c in color.items() if c == cls}
-        return is_acyclic(Digraph(members, {(u, w) for u, w in d.arcs
-                                            if u in members and w in members}))
-
-    def rec(i) -> bool:
-        if i == len(verts):
-            return True
-        v = verts[i]
-        for c in (0, 1):
-            color[v] = c
-            if class_acyclic(c) and rec(i + 1):
-                return True
-            del color[v]
+    def closes_cycle(v, c) -> bool:
+        seen, stack = {v}, [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w == v:
+                    return True
+                if w not in seen and color.get(w) == c:
+                    seen.add(w)
+                    stack.append(w)
         return False
 
-    return dict(color) if rec(0) else None
+    i = 0
+    while 0 <= i < len(verts):
+        v = verts[i]
+        c = color.pop(v, -1) + 1  # 0 on the way in, 1 on the way back
+        while c < 2 and closes_cycle(v, c):
+            c += 1
+        if c < 2:
+            color[v] = c
+            i += 1
+        else:
+            i -= 1
+    return color if i >= 0 else None
 
 
 # ---------------------------------------------------------------------------

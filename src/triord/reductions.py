@@ -32,10 +32,14 @@ from .solver import Solution
 
 @dataclass(frozen=True)
 class Reduction:
-    """A named transform with its (source, target) problems and lift maps."""
+    """A named transform with its lift maps.  ``source`` and ``target``
+    name the kind of problem it reads and writes: "ordering" (a k-order
+    instance, whose family and k the instance carries), "caterpillar" or
+    "tree" (a triplet set, to be covered by caterpillars or by trees), or
+    "digraph"."""
     name: str
-    source_problem: tuple
-    target_problem: tuple
+    source: str
+    target: str
     transform: Callable
     lift_forward: Optional[Callable] = None
     lift_backward: Optional[Callable] = None
@@ -485,8 +489,9 @@ def reduce_dichromatic_to_outdeg3(d: Digraph) -> Digraph:
     leaves of a mirrored all-2-cycle gadget."""
     verts = set(d.vertices)
     arcs = set(d.arcs)
+    out_arcs = _out_arcs(d)
     for v in sorted(d.vertices, key=var_key):
-        children = _out_arcs(d)[v]
+        children = out_arcs[v]
         deg = len(children)
         if deg < 3:
             continue
@@ -557,39 +562,28 @@ def reduce_outdeg3_to_2cat(d: Digraph) -> frozenset:
 # Registry
 
 
-def _ordering_problem(pi_index: int, k: int) -> tuple:
-    return (pi_family(pi_index), k)
-
-
 REDUCTIONS = {r.name: r for r in (
-    Reduction("1pi5_to_2pi0", _ordering_problem(5, 1), _ordering_problem(0, 2),
-              reduce_1pi5_to_2pi0,
+    Reduction("1pi5_to_2pi0", "ordering", "ordering", reduce_1pi5_to_2pi0,
               lift_reversal_pair_forward, lift_first_order_backward),
-    Reduction("2pi0_to_2pi1", _ordering_problem(0, 2), _ordering_problem(1, 2),
-              reduce_2pi0_to_2pi1,
+    Reduction("2pi0_to_2pi1", "ordering", "ordering", reduce_2pi0_to_2pi1,
               lift_2pi0_to_2pi1_forward, lift_2pi0_to_2pi1_backward),
-    Reduction("1pi9_to_2pi4", _ordering_problem(9, 1), _ordering_problem(4, 2),
-              reduce_1pi9_to_2pi4,
+    Reduction("1pi9_to_2pi4", "ordering", "ordering", reduce_1pi9_to_2pi4,
               lift_reversal_pair_forward, lift_first_order_backward),
-    Reduction("1pi5_to_2pi5", _ordering_problem(5, 1), _ordering_problem(5, 2),
-              reduce_1pi5_to_2pi5,
+    Reduction("1pi5_to_2pi5", "ordering", "ordering", reduce_1pi5_to_2pi5,
               lift_1pi5_to_2pi5_forward, lift_restrict_backward),
-    Reduction("2pi1_to_2pi6", _ordering_problem(1, 2), _ordering_problem(6, 2),
-              reduce_2pi1_to_2pi6,
+    Reduction("2pi1_to_2pi6", "ordering", "ordering", reduce_2pi1_to_2pi6,
               lift_2pi1_to_2pi6_forward, lift_2pi1_to_2pi6_backward),
-    Reduction("1pi5_to_2pi9", _ordering_problem(5, 1), _ordering_problem(9, 2),
-              reduce_1pi5_to_2pi9,
+    Reduction("1pi5_to_2pi9", "ordering", "ordering", reduce_1pi5_to_2pi9,
               lift_1pi5_to_2pi9_forward, lift_restrict_backward),
-    Reduction("2cat_to_3cat", ("caterpillar", 2), ("caterpillar", 3),
+    Reduction("2cat_to_3cat", "caterpillar", "caterpillar",
               reduce_2cat_to_3cat,
               lambda src, cats: lift_2cat_forward(src, cats, "3cat"),
               lift_2cat_backward),
-    Reduction("2cat_to_3tree", ("caterpillar", 2), ("tree", 3),
-              reduce_2cat_to_3tree,
+    Reduction("2cat_to_3tree", "caterpillar", "tree", reduce_2cat_to_3tree,
               lambda src, cats: lift_2cat_forward(src, cats, "3tree"),
               lift_2cat_backward),
-    Reduction("dichromatic_to_outdeg3", ("digraph", 2), ("digraph", 2),
+    Reduction("dichromatic_to_outdeg3", "digraph", "digraph",
               reduce_dichromatic_to_outdeg3),
-    Reduction("outdeg3_to_2cat", ("digraph", 2), ("caterpillar", 2),
+    Reduction("outdeg3_to_2cat", "digraph", "caterpillar",
               reduce_outdeg3_to_2cat),
 )}

@@ -10,10 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import triord
-from triord import cli
+from triord import cli, extremal
 from triord.cli import main
 from triord.extremal import full_triplet_set, tau_cnf, tau_decision
-from triord.gadgets import PI6_GADGET, gadget_instance
+from triord.gadgets import PI6_GADGET, PI9_GADGET, gadget_instance
 from triord.orderings import format_instance, make_instance, parse_instance
 from triord.phylo import (
     displayed_triplets, format_triplets, is_caterpillar, parse_newick,
@@ -138,6 +138,36 @@ def test_reduce_chaining_namespaced(tmp_path, capsys):
     code, report = run(capsys, "reduce", "outdeg3-to-2cat", str(f2), str(f3))
     assert code == 0
     assert parse_triplets(f3.read_text())
+
+
+def test_reduce_looks_up_readers_and_writers_per_call(tmp_path, capsys,
+                                                      monkeypatch):
+    # bench/spans.py wraps cli.parse_dot and cli.format_triplets (among
+    # others) after import; the reduce path must call the wrappers
+    calls = []
+    for name in ("parse_dot", "format_triplets"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, fn=fn, name=name:
+                            calls.append(name) or fn(x))
+    f = tmp_path / "g.dot"
+    f.write_text(to_dot(Digraph(frozenset([1, 2, 3]),
+                                frozenset([(1, 2), (1, 3)]))))
+    code, report = run(capsys, "reduce", "outdeg3-to-2cat", str(f),
+                       str(tmp_path / "g.trip"))
+    assert code == 0 and calls == ["parse_dot", "format_triplets"]
+    assert report["result"]["source"] == {"kind": "digraph", "vertices": 3,
+                                          "arcs": 2}
+    assert report["result"]["target"] == {"kind": "caterpillar",
+                                          "triplets": 1, "labels": 3}
+
+
+def test_reduce_malformed_file_is_named(tmp_path, capsys):
+    f = tmp_path / "bad.csp"
+    f.write_text("pi 5\nc 1 2\n")
+    code, report = run(capsys, "reduce", "1pi5-to-2pi0", str(f),
+                       str(tmp_path / "o.csp"))
+    assert code == 2
+    assert report["error"] == f"{f}: line 2: constraint line needs 3 variables"
 
 
 def test_reduce_unknown_name(tmp_path, capsys):
@@ -275,6 +305,22 @@ def test_tau_export_cnf(tmp_path, capsys):
     assert code == 2 and "leaves" in report["error"]
 
 
+def test_tau_export_decides_the_written_formula(tmp_path, capsys,
+                                               monkeypatch):
+    # the same answer and conflicts as without the export, from the one
+    # formula the CLI built and wrote: the decision builds no second one
+    code, plain = run(capsys, "tau", "--n", "6", "--k", "4")
+    built = []
+    monkeypatch.setattr(extremal, "tau_cnf",
+                        lambda *a: built.append(a) or tau_cnf(*a))
+    path = tmp_path / "t6.cnf"
+    code2, exported = run(capsys, "tau", "--n", "6", "--k", "4",
+                          "--export-cnf", str(path))
+    assert built == [] and path.read_text() == tau_cnf(6, 4).dimacs()
+    assert exported["result"].pop("cnf_file") == str(path)
+    assert (code2, without_time(exported)) == (code, without_time(plain))
+
+
 def test_tau_bad_n(capsys):
     code, report = run(capsys, "tau", "--n", "2")
     assert code == 2
@@ -403,6 +449,48 @@ def test_zero_node_limit_allows_no_conflict(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the unknown report: every result key, in order, with the answer None
+
+SOLVE_KEYS = ["pi", "k", "variables", "constraints", "satisfiable"]
+COMPAT_KEYS = ["k", "caterpillar", "triplets", "compatible", "trees"]
+
+
+@pytest.mark.parametrize("argv, keys, answer", [
+    (["solve", "{csp}", "--node-limit", "0"], SOLVE_KEYS, "satisfiable"),
+    (["solve", "{csp}", "--enumerate", "--node-limit", "3"], SOLVE_KEYS,
+     "satisfiable"),
+    (["compat", "{all5}", "--k", "3", "--node-limit", "5"], COMPAT_KEYS,
+     "compatible"),
+    (["compat", "{sep}", "--k", "3", "--caterpillar", "--node-limit", "1"],
+     COMPAT_KEYS, "compatible"),
+    (["gadget-verify", "pi9", "--node-limit", "10"],
+     ["unique", "symmetry", "pi", "k", "generators"], "unique"),
+    (["gadget-verify", "tree-triple", "--node-limit", "1"],
+     ["unique", "symmetry", "trees", "orderings"], "unique"),
+    (["tau", "--n", "6", "--k", "4", "--node-limit", "2"],
+     ["n", "k", "caterpillar", "decision", "conflicts", "trees"],
+     "decision"),
+    (["tau", "--n", "6", "--node-limit", "2"],
+     ["n", "caterpillar", "value", "lower_bound", "exact", "conflicts",
+      "trees"], "value"),
+], ids=["solve", "solve-enumerate", "compat", "compat-caterpillar",
+        "gadget-pi9", "gadget-tree-triple", "tau-k", "tau"])
+def test_budget_unknown_report(tmp_path, capsys, argv, keys, answer):
+    files = {"csp": format_instance(gadget_instance(list(PI9_GADGET), 9, 2)),
+             "all5": format_triplets(full_triplet_set(5)),
+             "sep": format_triplets(SEPARATING)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, report = run(capsys, *(a.format(**{n: tmp_path / n for n in files})
+                                 for a in argv))
+    assert code == 2
+    assert list(report) == ["schema", "command", "input_sha256", "result",
+                            "wall_time_s"]
+    assert list(report["result"]) == keys
+    assert report["result"][answer] is None
+
+
+# ---------------------------------------------------------------------------
 # the parser built once at import, and the real entry point
 
 
@@ -473,9 +561,10 @@ def test_internal_fault_is_an_error_report(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("ext", ["dot", "trip"])
 def test_deep_inputs_never_read_as_no(tmp_path, capsys, ext):
-    # 1,200 elements: an arc-free digraph (2-dicolorable) and the chain
-    # x{i} x{i+1} | x{i+2} (one caterpillar); whatever the recursion
-    # does, the answer is yes, unknown or an error, never exit 1
+    # 1,200 elements: an arc-free digraph (2-dicolorable, answered
+    # without recursion) and the chain x{i} x{i+1} | x{i+2} (one
+    # caterpillar; whatever the recursion does, the answer is yes,
+    # unknown or an error, never exit 1)
     f = tmp_path / f"deep.{ext}"
     if ext == "dot":
         f.write_text(to_dot(Digraph(frozenset(range(1200)), frozenset())))
@@ -488,6 +577,8 @@ def test_deep_inputs_never_read_as_no(tmp_path, capsys, ext):
     out, err = capsys.readouterr()
     assert code in (0, 2) and out.count("\n") == 1 and not err
     assert "error" in json.loads(out) or code == 0
+    if ext == "dot":
+        assert code == 0 and json.loads(out)["result"]["dicolorable"] is True
 
 
 def test_entry_point_prints_one_json_line(tmp_path):

@@ -2,7 +2,9 @@
 oracle, the caterpillar/digraph equivalence, and serialization."""
 
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (
+    combinations, combinations_with_replacement, permutations, product,
+)
 import hashlib
 from math import comb
 import random
@@ -503,6 +505,33 @@ def test_two_dicolorable_negative():
     v = range(4)
     arcs = {(a, b) for a in v for b in v if a != b}
     assert two_dicolorable(Digraph(frozenset(v), arcs)) is None
+
+
+def test_two_dicolorable_first_coloring_by_brute_force():
+    # every digraph on 3 or 4 vertices: the answer is the first coloring,
+    # in vertex order with 0 before 1, whose classes are both acyclic
+    for n in (3, 4):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for mask in range(1 << len(pairs)):
+            arcs = {p for i, p in enumerate(pairs) if mask >> i & 1}
+            want = next((dict(enumerate(cols))
+                         for cols in product((0, 1), repeat=n)
+                         if all(is_acyclic(Digraph(
+                             {v for v in range(n) if cols[v] == c},
+                             {(u, w) for u, w in arcs
+                              if cols[u] == cols[w] == c}))
+                                for c in (0, 1))), None)
+            assert two_dicolorable(Digraph(frozenset(range(n)),
+                                           arcs)) == want, arcs
+
+
+def test_two_dicolorable_deep_ring():
+    # a directed ring on 1,200 vertices: 2-dicolorable, found without
+    # recursion; only the last vertex leaves color 0
+    n = 1200
+    col = two_dicolorable(Digraph(frozenset(range(n)),
+                                  {(i, (i + 1) % n) for i in range(n)}))
+    assert col == {**dict.fromkeys(range(n - 1), 0), n - 1: 1}
 
 
 # ---------------------------------------------------------------------------
