@@ -36,8 +36,8 @@ from typing import Iterable, Optional
 
 from .orderings import ordering, var_key
 from .phylo import (
-    RootedTree, Triplet, _TreeCoverCnf, caterpillar_of, displays, join,
-    triplet, triplet_labels,
+    RootedTree, Triplet, _TreeCoverCnf, _subtrees, caterpillar_of, displays,
+    join, triplet, triplet_labels,
 )
 from .solver import BudgetExceeded
 
@@ -268,28 +268,36 @@ def unroot(t: RootedTree) -> UnrootedTree:
     vertices are named ("internal", i)."""
     if len(t.leaves) < 3:
         raise ValueError("need at least 3 leaves to unroot")
-    counter = count()
-    edges = []
-
-    def walk(shape):
-        if not isinstance(shape, tuple):
-            return shape
-        v = ("internal", next(counter))
-        edges.append((v, walk(shape[0])))
-        edges.append((v, walk(shape[1])))
-        return v
-
-    a, b = t.shape
-    u, v = walk(a), walk(b)
-    edges.append((u, v))  # the root's two edges merge into one
+    # the root is suppressed (its two edges merge into one) and the other
+    # internal vertices are numbered in preorder, left child first: the
+    # reverse of _subtrees' order, so the numbers count down
+    names = count(len(t.leaves) - 3, -1)
+    edges, ends = [], []  # ends: per finished subtree, its top vertex
+    for s in _subtrees(t.shape)[:-1]:
+        if isinstance(s, tuple):
+            v = ("internal", next(names))
+            edges += ((v, ends.pop()), (v, ends.pop()))
+            ends.append(v)
+        else:
+            ends.append(s)
+    right, left = ends
+    edges.append((left, right))
     return UnrootedTree(edges)
 
 
 def _subtree_shape(t: UnrootedTree, v, parent):
-    if v in t.leaves:
-        return v
-    a, b = sorted((x for x in t.adj[v] if x != parent), key=repr)
-    return (_subtree_shape(t, a, v), _subtree_shape(t, b, v))
+    """The shape of the side of edge parent-v that holds v: its vertices
+    are listed parents first on an explicit stack, then built bottom up."""
+    order, stack = [], [(v, parent)]
+    while stack:
+        u, p = stack.pop()
+        order.append((u, p))
+        stack += ((w, u) for w in t.adj[u] - {p})
+    shape = {}
+    for u, p in reversed(order):
+        kids = t.adj[u] - {p}
+        shape[u] = tuple(shape[w] for w in kids) if kids else u
+    return shape[v]
 
 
 def _rooting_at(t: UnrootedTree, e: frozenset) -> RootedTree:

@@ -4,7 +4,10 @@ Trees are immutable and canonical: the underlying shape is a nested tuple
 (a leaf is its label, an internal node a pair of child shapes) with children
 ordered by their smallest leaf label.  Equality, hashing and serialization
 all go through this canonical form, which is equivalent to comparing the
-sorted cluster sets.
+sorted cluster sets.  A caterpillar's shape is as deep as its leaf count,
+so every walk over a shape goes through ``_subtrees``, an explicit-stack
+listing of its subtrees, or reads ``RootedTree.clusters``; only BUILD's
+recursion over components and ``_insertions`` (at most 8 labels) recurse.
 
 A rooted triplet ``ab|c`` is the 3-leaf tree with cherry {a, b} below the
 witness c; it is stored canonically as ``(a, b, c)`` with a < b.  Tree ``T``
@@ -50,19 +53,18 @@ def triplet_labels(triplets: Iterable[Triplet]) -> frozenset:
 # Trees
 
 
-def _shape_leaves(shape) -> frozenset:
-    if isinstance(shape, tuple):
-        return _shape_leaves(shape[0]) | _shape_leaves(shape[1])
-    return frozenset((shape,))
-
-
-def _canon(shape):
-    if not isinstance(shape, tuple):
-        return shape
-    a, b = _canon(shape[0]), _canon(shape[1])
-    ka = min(_shape_leaves(a), key=var_key)
-    kb = min(_shape_leaves(b), key=var_key)
-    return (a, b) if var_key(ka) <= var_key(kb) else (b, a)
+def _subtrees(shape) -> list:
+    """Every subtree of ``shape`` once, each after its children, found on
+    an explicit stack, so no depth is too deep.  A right child's subtrees
+    come before its left sibling's: the reversed list is the preorder,
+    left child first.  Every walk over a shape goes through this list."""
+    order, stack = [], [shape]
+    while stack:
+        s = stack.pop()
+        order.append(s)
+        if isinstance(s, tuple):
+            stack += (s[1], s[0])
+    return order[::-1]
 
 
 class RootedTree:
@@ -71,19 +73,21 @@ class RootedTree:
     __slots__ = ("shape", "leaves", "clusters", "_hash")
 
     def __init__(self, shape):
-        shape = _canon(shape)
-        clusters = []
-
-        def walk(s) -> frozenset:
+        # per finished subtree, left child on top: its canonical shape,
+        # its leaves and the key of its smallest leaf
+        done, clusters, nleaves = [], [], 0
+        for s in _subtrees(shape):
             if isinstance(s, tuple):
-                cl = walk(s[0]) | walk(s[1])
+                a, b = done.pop(), done.pop()
+                if b[2] < a[2]:
+                    a, b = b, a
+                done.append(((a[0], b[0]), a[1] | b[1], a[2]))
             else:
-                cl = frozenset((s,))
-            clusters.append(cl)
-            return cl
-
-        leaves = walk(shape)
-        if sum(1 for c in clusters if len(c) == 1) != len(leaves):
+                done.append((s, frozenset((s,)), var_key(s)))
+                nleaves += 1
+            clusters.append(done[-1][1])
+        ((shape, leaves, _),) = done
+        if nleaves != len(leaves):
             raise ValueError("duplicate leaf label")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "leaves", leaves)
@@ -103,13 +107,11 @@ class RootedTree:
         return f"RootedTree({to_newick(self)})"
 
     def sort_key(self):
-        return _shape_key(self.shape)
-
-
-def _shape_key(shape):
-    if isinstance(shape, tuple):
-        return (1, _shape_key(shape[0]), _shape_key(shape[1]))
-    return (0, var_key(shape))
+        keys = []  # left child's key on top
+        for s in _subtrees(self.shape):
+            keys.append((1, keys.pop(), keys.pop()) if isinstance(s, tuple)
+                        else (0, var_key(s)))
+        return keys[0]
 
 
 def leaf(label) -> RootedTree:
@@ -158,33 +160,21 @@ def restrict_tree(t: RootedTree, y: Iterable) -> RootedTree:
     if not y <= t.leaves:
         raise ValueError("labels not in tree")
 
-    def walk(s):
-        if not isinstance(s, tuple):
-            return s if s in y else None
-        kids = [w for w in (walk(s[0]), walk(s[1])) if w is not None]
-        if not kids:
-            return None
-        if len(kids) == 1:
-            return kids[0]
-        return (kids[0], kids[1])
-
-    return RootedTree(walk(t.shape))
+    kept = []  # per finished subtree, left child on top: its restriction
+    for s in _subtrees(t.shape):
+        if isinstance(s, tuple):
+            a, b = kept.pop(), kept.pop()
+            kept.append(b if a is None else a if b is None else (a, b))
+        else:
+            kept.append(s if s in y else None)
+    return RootedTree(kept[0])
 
 
 def cherries(t: RootedTree) -> list[frozenset]:
-    """Leaf pairs forming a cherry, sorted for determinism."""
-    found = []
-
-    def walk(s):
-        if isinstance(s, tuple):
-            if not isinstance(s[0], tuple) and not isinstance(s[1], tuple):
-                found.append(frozenset(s))
-            else:
-                walk(s[0])
-                walk(s[1])
-
-    walk(t.shape)
-    return sorted(found, key=lambda c: sorted(map(var_key, c)))
+    """Leaf pairs forming a cherry (the two-leaf clusters), sorted for
+    determinism."""
+    return sorted((c for c in t.clusters if len(c) == 2),
+                  key=lambda c: sorted(map(var_key, c)))
 
 
 def is_caterpillar(t: RootedTree) -> bool:
@@ -195,24 +185,11 @@ def ordering_of(cat: RootedTree) -> LinearOrdering:
     """Leaves of a caterpillar deepest first, cherry tie to smaller label."""
     if not is_caterpillar(cat):
         raise ValueError("not a caterpillar")
-    seq = []
-
-    def walk(s):
-        if not isinstance(s, tuple):
-            seq.append(s)
-            return
-        a, b = s
-        a_leaf, b_leaf = not isinstance(a, tuple), not isinstance(b, tuple)
-        if a_leaf and b_leaf:
-            seq.extend(sorted(s, key=var_key))
-        elif a_leaf:
-            walk(b)
-            seq.append(a)
-        else:
-            walk(a)
-            seq.append(b)
-
-    walk(cat.shape)
+    # the clusters above the cherry are nested, each one leaf larger
+    seq, below = [], frozenset()
+    for c in sorted((c for c in cat.clusters if len(c) > 1), key=len):
+        seq += sorted(c - below, key=var_key)
+        below = c
     return LinearOrdering(seq)
 
 
@@ -246,6 +223,7 @@ def enumerate_trees(labels: Iterable) -> list[RootedTree]:
 
 
 def _insertions(shape, x):
+    # recursive, but enumerate_trees caps the shapes at 8 labels
     # attach x on the edge above `shape` ...
     yield (shape, x)
     # ... or inside either child
@@ -280,7 +258,12 @@ def aho_build(triplets: Iterable[Triplet],
     """BUILD: a binary tree displaying every triplet, or None if the set is
     incompatible.  Multifurcations are resolved into caterpillars over the
     children sorted by smallest descendant label, which cannot remove any
-    displayed triplet."""
+    displayed triplet.
+
+    ``_build`` recurses once per level of components.  The package calls
+    it only from the tree-cover decoder, whose formula has a closure block
+    per four labels, so its trees stay small (13 labels at most in the
+    benchmark workloads)."""
     triplets = frozenset(triplets)
     labels = frozenset(labels) if labels is not None else triplet_labels(triplets)
     if not triplet_labels(triplets) <= labels:
@@ -478,31 +461,40 @@ class _PartitionSearch:
         return None
 
     def _search(self, pending: set) -> bool:
-        # cascade forced placements in a loop, then branch (recurse) on the
-        # tightest triplet; one with no candidate is a dead end
-        placed = []
-        while pending:
-            best, best_cands = None, None
-            for i in self.order:
-                if i in pending:
-                    cands = self._candidates(i)
-                    if best is None or len(cands) < len(best_cands):
-                        best, best_cands = i, cands
-                        if len(cands) <= 1:
-                            break
-            if len(best_cands) != 1:
-                break
-            placed.append(self._place(best, best_cands[0], pending))
-        if not pending:
-            return True
-        for b in best_cands:
-            placed.append(self._place(best, b, pending))
-            if self._search(pending):
+        # depth first on an explicit stack of branchings: each holds the
+        # placements made since the one before it (the forced cascade,
+        # then the branch being tried), the branching triplet and the
+        # blocks not tried yet; a triplet with no candidate is a dead end
+        frames = []
+        while True:
+            placed = []
+            while pending:
+                best, best_cands = None, None
+                for i in self.order:
+                    if i in pending:
+                        cands = self._candidates(i)
+                        if best is None or len(cands) < len(best_cands):
+                            best, best_cands = i, cands
+                            if len(cands) <= 1:
+                                break
+                if len(best_cands) != 1:
+                    break
+                placed.append(self._place(best, best_cands[0], pending))
+            if not pending:
                 return True
-            self._unplace(placed.pop(), pending)
-        for record in reversed(placed):
-            self._unplace(record, pending)
-        return False
+            frames.append((placed, best, iter(best_cands)))
+            while True:  # the next untried branch, backtracking as needed
+                placed, best, rest = frames[-1]
+                b = next(rest, None)
+                if b is not None:
+                    placed.append(self._place(best, b, pending))
+                    break
+                for record in reversed(placed):
+                    self._unplace(record, pending)
+                frames.pop()
+                if not frames:
+                    return False
+                self._unplace(frames[-1][0].pop(), pending)  # failed branch
 
 
 def _cherry(a, b, w) -> tuple:
@@ -739,46 +731,51 @@ def two_dicolorable(d: Digraph) -> Optional[dict]:
 
 
 def to_newick(t: RootedTree) -> str:
-    def walk(s):
-        if isinstance(s, tuple):
-            return "(" + ",".join(walk(c) for c in s) + ")"
-        return str(s)
-
-    return walk(t.shape) + ";"
+    parts = []  # left child's text on top
+    for s in _subtrees(t.shape):
+        parts.append(f"({parts.pop()},{parts.pop()})" if isinstance(s, tuple)
+                     else str(s))
+    return parts[0] + ";"
 
 
 def parse_newick(text: str) -> RootedTree:
-    text = text.strip()
-    if text.endswith(";"):
-        text = text[:-1]
+    """The tree of a binary Newick string (labels only), read on an
+    explicit stack of the open groups."""
+    text = text.strip().removesuffix(";")
+    groups: list[list] = []  # the children read so far of each open group
     pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos < len(text) and text[pos] == "(":
+    while True:
+        if text[pos:pos + 1] == "(":
+            groups.append([])
             pos += 1
-            kids = [parse()]
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                kids.append(parse())
-            if pos >= len(text) or text[pos] != ")":
-                raise ValueError("unbalanced parentheses in newick string")
-            pos += 1
-            if len(kids) != 2:
-                raise ValueError("tree must be binary")
-            return (kids[0], kids[1])
+            continue
         start = pos
         while pos < len(text) and text[pos] not in "(),;":
             pos += 1
         tok = text[start:pos].strip()
         if not tok:
             raise ValueError(f"empty label at offset {start}")
-        return _parse_name(tok)
-
-    shape = parse()
+        node = _parse_name(tok)
+        # a finished node is the next child of the innermost open group;
+        # a ")" then finishes that group
+        while groups:
+            kids = groups[-1]
+            kids.append(node)
+            if text[pos:pos + 1] == ",":
+                pos += 1
+                break
+            if text[pos:pos + 1] != ")":
+                raise ValueError("unbalanced parentheses in newick string")
+            pos += 1
+            groups.pop()
+            if len(kids) != 2:
+                raise ValueError("tree must be binary")
+            node = (kids[0], kids[1])
+        else:
+            break
     if pos != len(text):
         raise ValueError(f"trailing characters at offset {pos}")
-    return RootedTree(shape)
+    return RootedTree(node)
 
 
 def parse_triplets(text: str) -> frozenset:

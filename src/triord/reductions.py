@@ -12,7 +12,6 @@ reductions compose without capturing source names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import ceil, log2
 from typing import Callable, Optional
 
@@ -24,7 +23,7 @@ from .orderings import (
     ordering, pi_family, restrict, reversal, satisfies, var_key,
 )
 from .phylo import (
-    Digraph, RootedTree, _shape_leaves, caterpillar_of, cherries, displays,
+    Digraph, RootedTree, caterpillar_of, cherries, displays,
     is_caterpillar, ordering_of, restrict_tree, triplet,
 )
 from .solver import Solution
@@ -72,11 +71,6 @@ def lift_reversal_pair_forward(source: Instance, sol: Solution) -> Solution:
     reversal."""
     (alpha,) = sol.orderings
     return Solution((alpha, reversal(alpha)))
-
-
-# the same lift without the unused source, under the reductions' names
-lift_1pi5_to_2pi0_forward = lift_1pi9_to_2pi4_forward = partial(
-    lift_reversal_pair_forward, None)
 
 
 def lift_first_order_backward(source: Instance, sol: Solution) -> Solution:
@@ -441,29 +435,18 @@ def flatten_to_caterpillar(t: RootedTree) -> RootedTree:
         raise ValueError("restriction to the anchor labels is not a "
                          "caterpillar")
     c = min(cherries(base_tree)[0])
+    # the path from the root to c is the clusters holding c, largest
+    # first; each step down leaves the pendant subtree upper - lower
+    path = sorted((cl for cl in t.clusters if c in cl), key=len, reverse=True)
     out: list = []
-
-    def emit(shape) -> None:
-        leaves = _shape_leaves(shape)
-        anchors = leaves & base
+    for upper, lower in zip(path, path[1:]):
+        pendant = upper - lower
+        anchors = pendant & base
         if len(anchors) > 1:
             raise ValueError("pendant subtree spans several anchor legs")
-        extra = sorted(leaves - anchors, key=var_key)
-        out.extend(extra)
-        out.extend(sorted(anchors))
-
-    node = t.shape
-    while True:
-        if not isinstance(node, tuple):
-            out.append(node)
-            break
-        left, right = node
-        if c in _shape_leaves(left):
-            emit(right)
-            node = left
-        else:
-            emit(left)
-            node = right
+        out += sorted(pendant - anchors, key=var_key)
+        out += sorted(anchors)
+    out.append(c)
     return caterpillar_of(tuple(reversed(out)))
 
 
@@ -497,21 +480,19 @@ def reduce_dichromatic_to_outdeg3(d: Digraph) -> Digraph:
             continue
         tag = f"g:outdeg3:{v}"
         arcs -= {(v, u) for u in children}
-        internals = []  # the non-root internal tree vertices, in creation order
-
-        def grow(root, xs):
-            a, b = _balanced_split(xs)
-            for half in (a, b):
-                if len(half) == 1:
-                    arcs.add((root, half[0]))
-                else:
-                    node = f"{tag}:t{len(internals)}"
-                    internals.append(node)
-                    verts.add(node)
-                    arcs.add((root, node))
-                    grow(node, half)
-
-        grow(v, children)
+        internals = []  # the non-root internal tree vertices, in preorder
+        # the out-tree splits the children in halves, built on a stack
+        stack = [(v, half) for half in reversed(_balanced_split(children))]
+        while stack:
+            root, xs = stack.pop()
+            if len(xs) == 1:
+                arcs.add((root, xs[0]))
+                continue
+            node = f"{tag}:t{len(internals)}"
+            internals.append(node)
+            verts.add(node)
+            arcs.add((root, node))
+            stack += ((node, half) for half in reversed(_balanced_split(xs)))
         if len(internals) != deg - 2:
             raise RuntimeError(f"out-tree of {v!r} has the wrong size")
         # mirror gadget: complete binary tree, every arc doubled, leaves at

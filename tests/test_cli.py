@@ -16,8 +16,8 @@ from triord.extremal import full_triplet_set, tau_cnf, tau_decision
 from triord.gadgets import PI6_GADGET, PI9_GADGET, gadget_instance
 from triord.orderings import format_instance, make_instance, parse_instance
 from triord.phylo import (
-    displayed_triplets, format_triplets, is_caterpillar, parse_newick,
-    parse_triplets, to_dot, triplet,
+    displayed_triplets, displays, format_triplets, is_caterpillar,
+    parse_newick, parse_triplets, to_dot, triplet,
 )
 from triord.phylo import Digraph
 
@@ -559,26 +559,34 @@ def test_internal_fault_is_an_error_report(tmp_path, capsys, monkeypatch):
                       "error": "internal error: RuntimeError: boom"}
 
 
-@pytest.mark.parametrize("ext", ["dot", "trip"])
-def test_deep_inputs_never_read_as_no(tmp_path, capsys, ext):
-    # 1,200 elements: an arc-free digraph (2-dicolorable, answered
-    # without recursion) and the chain x{i} x{i+1} | x{i+2} (one
-    # caterpillar; whatever the recursion does, the answer is yes,
-    # unknown or an error, never exit 1)
-    f = tmp_path / f"deep.{ext}"
-    if ext == "dot":
+@pytest.mark.parametrize("case", ["dot", "trip", "disjoint"])
+def test_deep_inputs_never_read_as_no(tmp_path, capsys, case):
+    # about 1,200 elements, past the recursion limit, each a "yes": an
+    # arc-free digraph (2-dicolorable), the chain x{i} x{i+1} | x{i+2}
+    # with k = 1 (one caterpillar 1,200 deep) and the disjoint triplets
+    # a{i} b{i} | c{i} with k = 2 (the partition search branches 1,200
+    # deep, then one caterpillar holds them all)
+    if case == "dot":
+        f = tmp_path / "deep.dot"
         f.write_text(to_dot(Digraph(frozenset(range(1200)), frozenset())))
-        argv = ["dicolor", str(f)]
+        argv, answer = ["dicolor", str(f)], "dicolorable"
     else:
-        f.write_text(format_triplets(triplet(f"x{i}", f"x{i + 1}", f"x{i + 2}")
-                                     for i in range(1198)))
-        argv = ["compat", str(f), "--k", "1", "--caterpillar"]
+        trips = ([triplet(f"x{i}", f"x{i + 1}", f"x{i + 2}")
+                  for i in range(1198)] if case == "trip" else
+                 [triplet(f"a{i}", f"b{i}", f"c{i}") for i in range(1200)])
+        f = tmp_path / "deep.trip"
+        f.write_text(format_triplets(trips))
+        argv = ["compat", str(f), "--k", "1" if case == "trip" else "2",
+                "--caterpillar"]
+        answer = "compatible"
     code = main(argv)
     out, err = capsys.readouterr()
-    assert code in (0, 2) and out.count("\n") == 1 and not err
-    assert "error" in json.loads(out) or code == 0
-    if ext == "dot":
-        assert code == 0 and json.loads(out)["result"]["dicolorable"] is True
+    assert code == 0 and out.count("\n") == 1 and not err
+    result = json.loads(out)["result"]
+    assert result[answer] is True
+    if case == "trip":
+        (tree,) = map(parse_newick, result["trees"])
+        assert all(displays(tree, t) for t in trips)
 
 
 def test_entry_point_prints_one_json_line(tmp_path):

@@ -549,6 +549,32 @@ def test_newick_round_trip():
         parse_newick("(a,b,c);")
 
 
+def test_tree_order_pin():
+    # the canonical child order and the sort_key order of trees, pinned
+    # by the Newick list of the 945 trees on six labels
+    text = "".join(to_newick(t) + "\n" for t in enumerate_trees(range(6)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3afc1150a01c4f8d96dbd30e5b9eabbccf84c1a2754b8430257fceafb9b45645")
+
+
+def test_deep_caterpillar_walks():
+    # a caterpillar's shape is as deep as its leaf count, far past the
+    # recursion limit here; == on such nested tuples itself recurses, so
+    # the trees are compared by their Newick text
+    rng = random.Random(3)
+    seq = rng.sample(range(3000), 3000)
+    seq[:2] = sorted(seq[:2])  # the cherry reads smaller label first
+    cat = caterpillar_of(seq)
+    assert ordering_of(cat).seq == tuple(seq)
+    assert cherries(cat) == [frozenset(seq[:2])]
+    assert len(cat.clusters) == 2 * 3000 - 1
+    assert to_newick(restrict_tree(cat, seq[1::2])) == \
+        to_newick(caterpillar_of(seq[1::2]))
+    text = to_newick(cat)
+    del cat  # one deep tree at a time: each holds O(n^2) cluster entries
+    assert to_newick(parse_newick(text)) == text
+
+
 def test_triplet_file_round_trip():
     ts = {triplet(1, 3, 4), triplet("a", "b", 2)}
     assert parse_triplets(format_triplets(ts)) == frozenset(ts)

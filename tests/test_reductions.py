@@ -17,9 +17,8 @@ from triord.phylo import (
     lca, leaf, restrict_tree, triplet, two_dicolorable,
 )
 from triord.reductions import (
-    REDUCTIONS, flatten_to_caterpillar, lift_1pi5_to_2pi0_forward,
-    lift_1pi5_to_2pi5_forward, lift_1pi5_to_2pi9_forward,
-    lift_1pi9_to_2pi4_forward, lift_2cat_forward, lift_2pi0_to_2pi1_forward,
+    REDUCTIONS, flatten_to_caterpillar, lift_1pi5_to_2pi5_forward,
+    lift_1pi5_to_2pi9_forward, lift_2cat_forward, lift_2pi0_to_2pi1_forward,
     lift_2pi1_to_2pi6_forward, reduce_1pi5_to_2pi0, reduce_1pi5_to_2pi5,
     reduce_1pi5_to_2pi9, reduce_1pi9_to_2pi4, reduce_2cat_to_3cat,
     reduce_2cat_to_3tree, reduce_2pi0_to_2pi1, reduce_2pi1_to_2pi6,
@@ -81,11 +80,11 @@ def test_pair_reduction_lifts():
     rng = random.Random(7)
     for _ in range(20):
         src5, sol5 = rand_satisfiable(rng, 5, 1, 5, 4)
-        assert check_solution(reduce_1pi5_to_2pi0(src5),
-                              lift_1pi5_to_2pi0_forward(sol5))
+        lift = REDUCTIONS["1pi5_to_2pi0"].lift_forward
+        assert check_solution(reduce_1pi5_to_2pi0(src5), lift(src5, sol5))
         src9, sol9 = rand_satisfiable(rng, 9, 1, 5, 4)
-        assert check_solution(reduce_1pi9_to_2pi4(src9),
-                              lift_1pi9_to_2pi4_forward(sol9))
+        lift = REDUCTIONS["1pi9_to_2pi4"].lift_forward
+        assert check_solution(reduce_1pi9_to_2pi4(src9), lift(src9, sol9))
 
 
 # ---------------------------------------------------------------------------
