@@ -75,7 +75,7 @@ class RootedTree:
     def __init__(self, shape):
         # per finished subtree, left child on top: its canonical shape,
         # its leaves and the key of its smallest leaf
-        done, clusters, nleaves = [], [], 0
+        done, clusters = [], []
         for s in _subtrees(shape):
             if isinstance(s, tuple):
                 a, b = done.pop(), done.pop()
@@ -84,10 +84,9 @@ class RootedTree:
                 done.append(((a[0], b[0]), a[1] | b[1], a[2]))
             else:
                 done.append((s, frozenset((s,)), var_key(s)))
-                nleaves += 1
             clusters.append(done[-1][1])
         ((shape, leaves, _),) = done
-        if nleaves != len(leaves):
+        if len(clusters) != 2 * len(leaves) - 1:  # a binary tree's nodes
             raise ValueError("duplicate leaf label")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "leaves", leaves)
