@@ -23,8 +23,9 @@ an outside solver or proof checker reads.
 The module also carries the surrounding machinery: the logarithmic upper
 bound on tau_c with its constructive greedy caterpillar cover (each round
 displays at least a third of the remaining triplets), unrooted trees with
-their rootings, and the certificate that few rootings of one unrooted tree
-always miss a triplet once n > k^2 - 6.
+their rootings, and the certificate that rootings of one unrooted tree miss
+a triplet exactly when some leaf edge carries no root (so always when there
+are fewer rootings than leaves).
 """
 
 from __future__ import annotations
@@ -125,10 +126,12 @@ class TauBound:
 
 def tau(n: int, caterpillar_mode: bool = False,
         node_limit: Optional[int] = None) -> TauBound:
-    """Smallest k with tau_decision true, searched upward from 1."""
+    """Smallest k with tau_decision true, searched upward from 1;
+    ``node_limit`` caps the CDCL conflicts summed over every decision."""
     nodes = 0
     for k in count(1):
-        d = tau_decision(n, k, caterpillar_mode, node_limit)
+        d = tau_decision(n, k, caterpillar_mode,
+                         None if node_limit is None else node_limit - nodes)
         nodes += d.nodes
         if d.answer is True:
             return TauBound(n, caterpillar_mode, k, k, d.trees, nodes)
@@ -285,16 +288,22 @@ def unroot(t: RootedTree) -> UnrootedTree:
     return UnrootedTree(edges)
 
 
-def _subtree_shape(t: UnrootedTree, v, parent):
-    """The shape of the side of edge parent-v that holds v: its vertices
-    are listed parents first on an explicit stack, then built bottom up."""
+def _side(t: UnrootedTree, v, parent) -> list:
+    """The vertices on v's side of edge parent-v as (vertex, its parent)
+    pairs, each after its parent, listed on an explicit stack."""
     order, stack = [], [(v, parent)]
     while stack:
         u, p = stack.pop()
         order.append((u, p))
         stack += ((w, u) for w in t.adj[u] - {p})
+    return order
+
+
+def _subtree_shape(t: UnrootedTree, v, parent):
+    """The shape of the side of edge parent-v that holds v, built bottom
+    up from ``_side``."""
     shape = {}
-    for u, p in reversed(order):
+    for u, p in reversed(_side(t, v, parent)):
         kids = t.adj[u] - {p}
         shape[u] = tuple(shape[w] for w in kids) if kids else u
     return shape[v]
@@ -330,99 +339,27 @@ def _as_rooting(t: UnrootedTree, r) -> Rooting:
     return Rooting(t, root_location(t, r), r)
 
 
-def _cherries_unrooted(t: UnrootedTree) -> list:
-    out = []
-    for v, nb in t.adj.items():
-        pair = sorted((x for x in nb if x in t.leaves), key=var_key)
-        if len(pair) == 2:
-            out.append((v, pair[0], pair[1]))
-    return sorted(out, key=lambda c: var_key(c[1]))
+def find_missing_triplet(t: UnrootedTree,
+                         rootings: list) -> Optional[Triplet]:
+    """A triplet displayed by none of the rootings, or None when every
+    leaf edge carries a root.
 
-
-def _chains(t: UnrootedTree) -> list:
-    """Maximal paths of internal vertices each adjacent to exactly one
-    leaf, as lists of (vertex, its leaf)."""
-    on_chain = {}
-    for v, nb in t.adj.items():
-        if v in t.leaves:
-            continue
-        leaves_nb = [x for x in nb if x in t.leaves]
-        if len(leaves_nb) == 1:
-            on_chain[v] = leaves_nb[0]
-    seen = set()
-    chains = []
-    for v in on_chain:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in t.adj[u]:
-                if w in on_chain and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        ends = [u for u in comp
-                if sum(1 for w in t.adj[u] if w in comp) <= 1]
-        start = min(ends, key=lambda u: var_key(on_chain[u]))
-        path = [start]
-        while True:
-            nxt = [w for w in t.adj[path[-1]]
-                   if w in comp and w not in path]
-            if not nxt:
-                break
-            path.append(nxt[0])
-        chains.append([(u, on_chain[u]) for u in path])
-    return sorted(chains,
-                  key=lambda ch: (-len(ch), var_key(ch[0][1])))
-
-
-def find_missing_triplet(t: UnrootedTree, rootings: list,
-                         method: str = "auto") -> Optional[Triplet]:
-    """A triplet displayed by none of the rootings, or None.
-
-    Guaranteed to exist when n > k^2 - 6 for k rootings.  The constructive
-    path follows the two-case certificate: a cherry whose leaf edge is
-    never a root location gives bc|a; otherwise some long chain has a
-    subpath (u,v,w) with leaves a,b,c whose middle leaf edge is unused,
-    giving ac|b.  ``method`` is "constructive", "brute", or "auto"
-    (constructive with brute-force fallback)."""
-    if method not in ("auto", "constructive", "brute"):
-        raise ValueError(f"unknown method {method!r}")
-    rootings = [_as_rooting(t, r) for r in rootings]
-    if method != "brute":
-        found = _missing_constructive(t, rootings)
-        if found is not None:
-            return found
-        if method == "constructive":
-            return None
-    return _missing_brute(t, rootings)
-
-
-def _missing_constructive(t: UnrootedTree, rootings: list) \
-        -> Optional[Triplet]:
-    used = {r.edge for r in rootings}
-    for v, a, b in _cherries_unrooted(t):
-        for x, y in ((a, b), (b, a)):
-            # leaf edge of x never carries a root: nothing can separate
-            # the cherry from x's side, so yz|x is missed for any z
-            if frozenset((v, x)) not in used:
-                z = min((w for w in t.leaves if w not in (x, y)),
+    Take the first leaf b (in var_key order) whose leaf edge v-b carries
+    no root, and the smallest leaves a and c on v's two other sides:
+    - the paths between a, b and c meet at v;
+    - so a rooting displays ac|b exactly when its root subdivides v-b (a
+      root on a's side gives bc|a, one on c's side gives ab|c);
+    - so a triplet is missing exactly when some leaf edge is free (the
+      rooting on z's leaf edge displays every xy|z), which holds whenever
+      k < n for k rootings, and so whenever n > k^2 - 6."""
+    used = {_as_rooting(t, r).edge for r in rootings}
+    if len(t.leaves) < 3:
+        return None
+    for b in sorted(t.leaves, key=var_key):
+        (v,) = t.adj[b]
+        if frozenset((v, b)) not in used:
+            a, c = (min((u for u, _ in _side(t, x, v) if u in t.leaves),
                         key=var_key)
-                return triplet(y, z, x)
-    for chain in _chains(t):
-        for (u, a), (v, b), (w, c) in zip(chain, chain[1:], chain[2:]):
-            if frozenset((v, b)) not in used:
-                return triplet(a, c, b)
-    return None
-
-
-def _missing_brute(t: UnrootedTree, rootings: list) -> Optional[Triplet]:
-    labels = sorted(t.leaves, key=var_key)
-    trees = [r.tree for r in rootings]
-    for a, b, c in combinations(labels, 3):
-        for trip in (triplet(a, b, c), triplet(a, c, b), triplet(b, c, a)):
-            if not any(displays(tr, trip) for tr in trees):
-                return trip
+                    for x in t.adj[v] - {b})
+            return triplet(a, c, b)
     return None

@@ -809,10 +809,17 @@ def to_dot(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: the lines parse_dot skips: a comment, the header (``digraph``, an
+#: optional name, ``{``) and the closing ``}``
+_DOT_SKIP = re.compile(r'(//|#).*|digraph(\s+("[^"]*"|[^\s{"]+))?\s*\{|\}')
+
+
 def parse_dot(text: str) -> Digraph:
-    """Minimal digraph reader for the DOT subset written by to_dot: one
-    vertex or arc per line, names bare or quoted.  Anything else (arc
-    chains, attribute lists, two statements on a line) is a ValueError."""
+    """Minimal digraph reader for the DOT subset written by to_dot: a
+    header line (``digraph``, an optional name, ``{``), one vertex or arc
+    per line with names bare or quoted, and a closing ``}`` line.  Anything
+    else (arc chains, attribute lists, two statements on a line) is a
+    ValueError."""
     verts = set()
     arcs = set()
 
@@ -826,7 +833,7 @@ def parse_dot(text: str) -> Digraph:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith(("digraph", "}", "//", "#")):
+        if not line or _DOT_SKIP.fullmatch(line):
             continue
         if "->" in line:
             u, v = (parse(p, lineno) for p in line.split("->", 1))

@@ -216,7 +216,11 @@ def test_criterion_07_reduction_equisatisfiability(report):
             for src in _all_sources(pi_index, k):
                 src_sat = solve(src, EXH) is not None
                 tgt = red.transform(src)
-                assert (solve(tgt, CDCL) is not None) == src_sat, (name, src)
+                tgt_sol = solve(tgt, CDCL)
+                assert (tgt_sol is not None) == src_sat, (name, src)
+                if src_sat:  # the target's solution lifts back
+                    assert check_solution(
+                        src, red.lift_backward(src, tgt_sol)), (name, src)
                 if name == "1pi5_to_2pi9" and len(tgt.vars) == 7:
                     # independent full-scan confirmation on 7!^2 pairs
                     assert (solve(tgt, EXH) is not None) == src_sat
@@ -353,6 +357,6 @@ def test_criterion_10_missing_triplet(report):
             done += 1
             t = unroot(_random_rooted(range(1, n + 1), rng))
             rts = rng.sample(rootings_of(t), k)
-            trip = find_missing_triplet(t, rts, method="constructive")
+            trip = find_missing_triplet(t, rts)
             assert trip is not None
             assert all(not displays(r.tree, trip) for r in rts)

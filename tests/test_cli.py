@@ -285,6 +285,20 @@ def test_tau_budget_unknown(capsys):
     assert report["result"]["conflicts"] == 2
 
 
+def test_tau_budget_is_summed_over_every_k(capsys):
+    # tau(7) = 4 spends 0, 0, 27 and 18 conflicts on k = 1..4: 27 leaves
+    # nothing for k = 4, and 45 is just enough
+    code, report = run(capsys, "tau", "--n", "7", "--node-limit", "27")
+    assert code == 2
+    assert report["result"]["value"] is None
+    assert report["result"]["lower_bound"] == 4
+    assert report["result"]["conflicts"] == 27
+    code, report = run(capsys, "tau", "--n", "7", "--node-limit", "45")
+    assert code == 0
+    assert report["result"]["value"] == 4
+    assert report["result"]["conflicts"] == 45
+
+
 def test_tau_export_cnf(tmp_path, capsys):
     path = tmp_path / "model.cnf"
     code, report = run(capsys, "tau", "--n", "4", "--k", "3",

@@ -44,6 +44,14 @@ def brute_cover_exists(n, k, caterpillars_only):
     return rec(0, 0, k)
 
 
+def brute_missing(t, rootings):
+    """A triplet over t's leaves that no rooting displays, by a full scan."""
+    shown = set()
+    for r in rootings:
+        shown |= displayed_triplets(r.tree)
+    return next(iter(full_triplet_set(len(t.leaves)) - shown), None)
+
+
 def random_rooted(labels, rng):
     from triord.phylo import RootedTree, _insertions
     labels = list(labels)
@@ -264,7 +272,7 @@ def test_missing_triplet_single_rooting():
     trip = find_missing_triplet(t, r)
     assert trip is not None
     assert not displays(r[0].tree, trip)
-    assert find_missing_triplet(t, r, method="brute") is not None
+    assert brute_missing(t, r) is not None
 
 
 def test_missing_triplet_constructive_verified_by_scan():
@@ -276,7 +284,7 @@ def test_missing_triplet_constructive_verified_by_scan():
             continue
         t = unroot(random_rooted(range(1, n + 1), rng))
         rts = rng.sample(rootings_of(t), k)
-        trip = find_missing_triplet(t, rts, method="constructive")
+        trip = find_missing_triplet(t, rts)
         assert trip is not None  # guaranteed since n > k^2 - 6
         assert all(not displays(r.tree, trip) for r in rts)
 
@@ -289,13 +297,12 @@ def test_missing_triplet_methods_agree_on_existence():
         rts = rootings_of(t)
         k = rng.randrange(1, len(rts) + 1)
         sub = rng.sample(rts, k)
-        brute = find_missing_triplet(t, sub, method="brute")
-        cons = find_missing_triplet(t, sub, method="constructive")
+        brute = brute_missing(t, sub)
+        cons = find_missing_triplet(t, sub)
         if cons is not None:
             assert all(not displays(r.tree, cons) for r in sub)
             assert brute is not None
-        # auto always agrees with brute about existence
-        assert (find_missing_triplet(t, sub) is None) == (brute is None)
+        assert (cons is None) == (brute is None)
 
 
 def test_missing_triplet_none_when_everything_covered():
@@ -312,5 +319,28 @@ def test_missing_triplet_rejects_mismatched_rooting():
     t = unroot(join(join(leaf(1), leaf(2)), join(leaf(3), leaf(4))))
     with pytest.raises(ValueError):
         find_missing_triplet(t, [join(leaf(1), join(leaf(2), leaf(3)))])
+    other = unroot(join(join(leaf(1), leaf(3)), join(leaf(2), leaf(4))))
     with pytest.raises(ValueError):
-        find_missing_triplet(t, [], method="sideways")
+        find_missing_triplet(t, rootings_of(other)[:1])
+
+
+def test_missing_triplet_exact_on_every_small_tree():
+    # every unrooted tree on 3-5 leaves (each is its rooted tree on the
+    # other leaves with leaf n hung at the root) and every set of its
+    # rootings: None exactly when every leaf edge carries a root, and
+    # exactly when a full scan finds every triplet displayed
+    for n in (3, 4, 5):
+        for rest in enumerate_trees(range(1, n)):
+            t = unroot(join(rest, leaf(n)))
+            rts = rootings_of(t)
+            leaf_edges = {e for e in t.edges() if e & t.leaves}
+            for mask in range(1 << len(rts)):
+                sub = [r for i, r in enumerate(rts) if mask >> i & 1]
+                trip = find_missing_triplet(t, sub)
+                assert (trip is None) == (leaf_edges <= {r.edge for r in sub})
+                assert (trip is None) == (brute_missing(t, sub) is None)
+                if trip is not None:
+                    assert all(not displays(r.tree, trip) for r in sub)
+    two = UnrootedTree([(1, 2)])
+    assert find_missing_triplet(two, []) is None
+    assert find_missing_triplet(two, rootings_of(two)) is None

@@ -588,6 +588,18 @@ def test_dot_round_trip():
     assert parse_dot(to_dot(d)) == d
 
 
+def test_parse_dot_reads_names_that_start_with_digraph():
+    # only a header line and a lone "}" are skipped; every other line is
+    # a statement, whatever its first word
+    text = "digraph G {\n  digraphA -> digraphB;\n  digraphC;\n}\n"
+    assert parse_dot(text) == Digraph({"digraphA", "digraphB", "digraphC"},
+                                      {("digraphA", "digraphB")})
+    assert parse_dot('digraph "a b" {\n  x;\n}\n') == \
+        Digraph({"x"}, set())
+    with pytest.raises(ValueError, match="line 1"):
+        parse_dot("digraph { a -> b; b -> a; }\n")
+
+
 @pytest.mark.parametrize("line", [
     "a -> b -> c;", "a -> b [color=red];", "a -> b; c -> d;", "a [shape=box];",
 ])
