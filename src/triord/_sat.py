@@ -1,22 +1,27 @@
 """Minimal conflict-driven clause-learning solver for propositional CNF.
 
-Literals are nonzero ints: ``+v`` asserts variable ``v`` (numbered from
-1), ``-v`` its negation.  The implementation is the textbook loop —
-two-watched-literal propagation, first-UIP clause learning, activity
-driven decisions with phase saving, and geometric restarts — tuned for
-the mid-sized structured formulas produced elsewhere in this package,
-not for competition inputs.
+Literals are nonzero ints, as in DIMACS: ``+v`` asserts variable ``v``
+(numbered from 1), ``-v`` its negation.  The implementation is the
+textbook loop — two-watched-literal propagation, first-UIP clause
+learning, activity driven decisions with phase saving, and geometric
+restarts — tuned for the mid-sized structured formulas produced
+elsewhere in this package, not for competition inputs.
 
-The per-literal tables are indexed by the literal itself, as in MiniSat
-(Eén & Sörensson, "An Extensible SAT-solver", SAT 2003).  ``lval`` and
-``watches`` have 2n + 1 entries for n variables: ``lval[v]`` is at index
-v and ``lval[-v]`` wraps to index 2n + 1 - v, so either polarity is one
-list index and no literal is encoded.  ``lval[lit]`` is +1 when ``lit``
-is true, -1 when false and 0 when free; an assignment writes both
-polarities.  Watch lists and ``reason`` hold the clause lists
-themselves, and a decision's reason is None.  ``_propagate`` compacts a
-watch list in place behind a write index: clauses whose other watch is
-true stay, in their order, and clauses that found a new watch leave.
+Inside the solver a literal is a code, as in MiniSat (Eén & Sörensson,
+"An Extensible SAT-solver", SAT 2003): ``2v`` for ``v`` and ``2v + 1``
+for ``-v``, so ``c ^ 1`` negates and ``c >> 1`` is the variable.  Codes
+are never negative, so every per-literal table is a plain list index
+(CPython reads a list fastest at an index >= 0).  ``lval`` and
+``watches`` have 2n + 2 entries for n variables, 0 and 1 unused.
+``lval[c]`` is +1 when ``c`` is true, -1 when false and 0 when free; an
+assignment writes both polarities.  ``phase[v]`` is the code of v's last
+value.  Clauses, the trail, reasons and learnt clauses hold codes in the
+order the signed literals would have; ``add_clause`` and ``load`` take
+signed literals, and ``signed`` reads a code back.  Watch lists and
+``reason`` hold the clause lists themselves, and a decision's reason is
+None.  ``_propagate`` compacts a watch list in place behind a write
+index: clauses whose other watch is true stay, in their order, and
+clauses that found a new watch leave.
 
 Decisions pop a binary heap of ``(-activity, var)`` entries, as MiniSat
 orders its variables.  An entry is live while its key matches the
@@ -56,6 +61,7 @@ SAT solving", ENTCS 2003; no learnt state is carried over).
 
 from __future__ import annotations
 
+import gc
 from array import array
 from heapq import heapify, heappop, heappush
 from itertools import groupby, islice
@@ -117,17 +123,22 @@ class Templates:
         self._lits = 0
 
 
+def signed(code: int) -> int:
+    """The signed literal of a solver's literal code."""
+    return -(code >> 1) if code & 1 else code >> 1
+
+
 class Solver:
     def __init__(self, nvars: int = 0):
         self.nvars = nvars
-        self.clauses: list[list[int]] = []
-        self.lval: list[int] = [0] * (2 * nvars + 1)
+        self.clauses: list[list[int]] = []  # of literal codes, as below
+        self.lval: list[int] = [0] * (2 * nvars + 2)
         self.watches: list[list[list[int]]] = [
-            [] for _ in range(2 * nvars + 1)]
+            [] for _ in range(2 * nvars + 2)]
         self.level: list[int] = [0] * (nvars + 1)
         self.reason: list[Optional[list[int]]] = [None] * (nvars + 1)
         self.activity: list[float] = [0.0] * (nvars + 1)
-        self.phase: list[int] = [-1] * (nvars + 1)
+        self.phase: list[int] = list(range(1, 2 * nvars + 2, 2))  # all -v
         self.trail: list[int] = []
         self.lim: list[int] = []  # trail length at each decision level
         self.qhead = 0
@@ -147,8 +158,9 @@ class Solver:
     # -- construction -----------------------------------------------------
 
     def add_clause(self, lits) -> None:
-        """Add a clause over variables 1..nvars; may immediately make the
-        formula unsatisfiable.  ``lits`` is copied, never kept."""
+        """Add a clause of signed literals over variables 1..nvars; may
+        immediately make the formula unsatisfiable.  ``lits`` is copied,
+        never kept."""
         if not self.ok:
             return
         lval = self.lval
@@ -157,16 +169,17 @@ class Solver:
         for lit in lits:
             if lit > n or lit < -n or not lit:
                 raise ValueError(f"literal {lit} outside variables 1..{n}")
-            val = lval[lit]
+            c = lit << 1 if lit > 0 else -lit << 1 | 1
+            val = lval[c]
             if val:
                 if val > 0:
                     return  # already satisfied at root level
             # out holds free literals only, so a false literal (whose
             # negation is true) can neither repeat nor complete a tautology
-            elif lit not in out:
-                if -lit in out:
+            elif c not in out:
+                if (c ^ 1) in out:
                     return  # tautological
-                out.append(lit)
+                out.append(c)
         if len(out) > 1:
             self.clauses.append(out)
             watches = self.watches
@@ -188,19 +201,26 @@ class Solver:
         n = self.nvars
         if rec.nvars > n:
             raise ValueError(f"record uses variables beyond 1..{n}")
-        # one int object per literal, shared by every clause; table[lit]
-        # is lit for either sign, since a negative index wraps as in lval
-        table = [*range(n + 1), *range(-n, 0)]
+        # one int object per code, shared by every clause; table[lit] is
+        # the code of lit for either sign, since a negative index wraps
+        table = [*range(0, 2 * n + 1, 2), *range(2 * n + 1, 1, -2)]
         stream = map(table.__getitem__, rec.lits)
-        clauses = self.clauses
-        for width, run in groupby(rec.widths):
-            # a run of equal widths is cut from the stream in one go
-            clauses.extend(map(list, islice(zip(*[stream] * width),
-                                            len(tuple(run)))))
-        watches = self.watches
-        for lits in clauses:
-            watches[lits[0]].append(lits)
-            watches[lits[1]].append(lits)
+        clauses, watches = self.clauses, self.watches
+        # lists of ints hold no cycle, so the collector's passes over the
+        # new lists would find nothing
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for width, run in groupby(rec.widths):
+                # a run of equal widths is cut from the stream in one go
+                clauses.extend(map(list, islice(zip(*[stream] * width),
+                                                len(tuple(run)))))
+            for lits in clauses:
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+        finally:
+            if collecting:
+                gc.enable()
 
     def _attach(self, lits: list[int]) -> list[int]:
         self.clauses.append(lits)
@@ -215,11 +235,11 @@ class Solver:
         if val:
             return val > 0
         self.lval[lit] = 1
-        self.lval[-lit] = -1
-        v = lit if lit > 0 else -lit
+        self.lval[lit ^ 1] = -1
+        v = lit >> 1
         self.level[v] = len(self.lim)
         self.reason[v] = reason
-        self.phase[v] = 1 if lit > 0 else -1
+        self.phase[v] = lit
         self.trail.append(lit)
         return True
 
@@ -230,11 +250,12 @@ class Solver:
         lvl = len(self.lim)
         qhead = start = self.qhead
         while qhead < len(trail):
-            false_lit = -trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
             watch = watches[false_lit]
             kept = 0  # watch[:kept] holds the clauses that stay
-            for i, lits in enumerate(watch):
+            it = iter(watch)
+            for lits in it:
                 # keep the false watch at lits[1]
                 first = lits[0]
                 if first == false_lit:
@@ -267,16 +288,16 @@ class Solver:
                 watch[kept] = lits
                 kept += 1
                 if lval[first]:  # false: every literal is false
-                    del watch[kept:i + 1]
+                    watch[kept:] = list(it)
                     self.propagations += qhead - start
                     self.qhead = len(trail)
                     return lits
                 lval[first] = 1
-                lval[-first] = -1
-                v = first if first > 0 else -first
+                lval[first ^ 1] = -1
+                v = first >> 1
                 level[v] = lvl
                 reason[v] = lits
-                phase[v] = 1 if first > 0 else -1
+                phase[v] = first
                 trail.append(first)
             del watch[kept:]
         self.propagations += qhead - start
@@ -309,7 +330,7 @@ class Solver:
             for q in confl:
                 if q == p:
                     continue
-                v = q if q > 0 else -q
+                v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
                     # bump: v is assigned, so its heap entry goes stale
@@ -327,7 +348,7 @@ class Solver:
             while True:
                 idx -= 1
                 p = trail[idx]
-                v = p if p > 0 else -p
+                v = p >> 1
                 if seen[v]:
                     break
             seen[v] = False
@@ -335,14 +356,14 @@ class Solver:
             if counter == 0:
                 break
             confl = reason[v]
-        learnt[0] = -p
+        learnt[0] = p ^ 1
         # drop each literal that the rest of the clause implies: seen
         # marks the clause's variables, and a walk marks those it shows
         # to be implied too
         kept = 1
         for i in range(1, len(learnt)):
             q = learnt[i]
-            r = reason[q if q > 0 else -q]
+            r = reason[q >> 1]
             if r is None or not self._implied(r, seen, levels):
                 learnt[kept] = q
                 kept += 1
@@ -353,7 +374,7 @@ class Solver:
         j = 0
         for i in range(1, len(learnt)):
             q = learnt[i]
-            lv = level[q if q > 0 else -q]
+            lv = level[q >> 1]
             if lv > back:
                 back, j = lv, i
         if j:
@@ -372,7 +393,7 @@ class Solver:
         marked = []
         while stack:
             for q in stack.pop():
-                v = q if q > 0 else -q
+                v = q >> 1
                 lv = level[v]
                 if lv and not seen[v]:
                     if not levels >> (lv & 63) & 1 or (r := reason[v]) is None:
@@ -393,8 +414,8 @@ class Solver:
         inheap, heap = self.inheap, self.heap
         for i in range(keep, len(trail)):
             lit = trail[i]
-            lval[lit] = lval[-lit] = 0
-            v = lit if lit > 0 else -lit
+            lval[lit] = lval[lit ^ 1] = 0
+            v = lit >> 1
             if not inheap[v]:
                 inheap[v] = True
                 heappush(heap, (-activity[v], v))
@@ -405,16 +426,16 @@ class Solver:
     # -- main loop ---------------------------------------------------------
 
     def _decide(self) -> int:
-        """The free variable of highest activity with its saved phase, or
-        0 when every variable is assigned."""
+        """The code of the free variable of highest activity in its saved
+        phase, or 0 when every variable is assigned."""
         lval, activity, inheap, heap = (self.lval, self.activity,
                                         self.inheap, self.heap)
         while heap:
             act, v = heappop(heap)
             if -act == activity[v]:  # the live entry; the rest are stale
                 inheap[v] = False
-                if not lval[v]:
-                    return v * self.phase[v]
+                if not lval[v << 1]:
+                    return self.phase[v]
         return 0
 
     def solve(self, conflict_limit: Optional[int] = None) -> Optional[bool]:
@@ -457,7 +478,7 @@ class Solver:
             else:
                 lit = self._decide()
                 if lit == 0:
-                    self._model = [x > 0 for x in self.lval[:self.nvars + 1]]
+                    self._model = [x > 0 for x in self.lval[::2]]
                     self._backtrack(0)
                     return True
                 self.decisions += 1

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Optional
 
-from ._sat import Record, Solver as _CnfSolver, Templates as _Templates, record
+from ._sat import (
+    Record, Solver as _CnfSolver, Templates as _Templates, record, signed,
+)
 from .orderings import (
     TRIVIAL_2ORDER, Instance, LinearOrdering, reversal, satisfies,
 )
@@ -126,30 +128,45 @@ def _constraint_masks(inst: Instance, perms):
 
 
 def _exhaustive(inst: Instance, cfg: SolverConfig, want_all: bool):
+    """Depth first over the index tuples i_1 <= ... <= i_k of ``perms``,
+    smallest first, one search node per index tried in a slot.  The first
+    k - 1 slots are an explicit stack; the last is one scan, whose nodes
+    are counted together, so that the budget is checked before it."""
     perms = [LinearOrdering(p) for p in permutations(inst.sorted_vars())]
     masks = _constraint_masks(inst, perms)
     full = (1 << len(inst.constraints)) - 1
-    n = len(perms)
+    n, k, limit = len(perms), inst.k, cfg.node_limit
     found = []
     nodes = 0
-
-    def rec(start, chosen, acc):
-        nonlocal nodes
-        if len(chosen) == inst.k:
-            if acc == full:
-                found.append(_checked(
-                    inst, Solution([perms[i] for i in chosen])))
-            return want_all or acc != full
-        for i in range(start, n):
+    prefix, accs = [], [0]  # the first slots; the OR of their masks
+    i = 0  # the index to try next, in slot len(prefix)
+    while True:
+        if len(prefix) < k - 1:
             nodes += 1
-            if cfg.node_limit is not None and nodes > cfg.node_limit:
+            if limit is not None and nodes > limit:
                 raise BudgetExceeded(nodes)
-            if not rec(i, chosen + [i], acc | masks[i]):
-                return False
-        return True
-
-    rec(0, [], 0)
-    return found
+            prefix.append(i)
+            accs.append(accs[-1] | masks[i])
+            continue  # the next slot starts at the same index
+        stop = n if limit is None else min(n, i + limit - nodes)
+        acc = accs[-1]
+        for j in range(i, stop):
+            if acc | masks[j] == full:
+                found.append(_checked(inst, Solution(
+                    [perms[t] for t in prefix] + [perms[j]])))
+                if not want_all:
+                    return found
+        nodes += stop - i
+        if stop < n:
+            raise BudgetExceeded(nodes + 1)
+        # back to the deepest slot that can take a larger index
+        while prefix and prefix[-1] == n - 1:
+            prefix.pop()
+            accs.pop()
+        if not prefix:
+            return found
+        i = prefix.pop() + 1
+        accs.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +226,11 @@ class _SlotCnf:
         if sat.conflicts:
             raise ValueError("the solver has learnt clauses: its clauses "
                              "are no longer the formula alone")
-        clauses = [[lit] for lit in sat.trail] + sat.clauses
+        clauses = [[code] for code in sat.trail] + sat.clauses
         if not sat.ok:
             clauses.append([])
         return "".join([f"p cnf {sat.nvars} {len(clauses)}\n",
-                        *(" ".join(map(str, [*c, 0])) + "\n"
+                        *(" ".join([*map(str, map(signed, c)), "0"]) + "\n"
                           for c in clauses)])
 
 

@@ -13,10 +13,26 @@ from triord import _sat
 from triord._sat import Solver
 from triord.extremal import full_triplet_set, tau_cnf, tau_decision
 from triord.gadgets import builtin_gadget, gadget_instance
-from triord.orderings import make_instance
+from triord.orderings import make_instance, var_key
 from triord.phylo import _TreeCoverCnf, triplet
-from triord.reductions import reduce_1pi5_to_2pi9
+from triord.reductions import reduce_1pi5_to_2pi9, reduce_2cat_to_3tree
 from triord.solver import _PairOrderCnf
+
+
+def signed(c):
+    """The signed literal of solver literal code c: 2v is v, 2v + 1 is -v.
+    The tests below read the solver's clauses, trail and reasons through
+    it."""
+    return -(c >> 1) if c & 1 else c >> 1
+
+
+def code(lit):
+    """The solver's code of signed literal lit (the inverse of signed)."""
+    return 2 * lit if lit > 0 else 1 - 2 * lit
+
+
+def signed_clauses(s):
+    return [[signed(c) for c in lits] for lits in s.clauses]
 
 
 def brute_sat(nvars, clauses):
@@ -167,7 +183,7 @@ def test_add_clause_stores_the_filtered_clause():
     s.add_clause([2, 3, -2])  # tautology dropped
     s.add_clause([1, 4, 3])  # x4 false at the root: dropped
     s.add_clause([-4, 1, 2])  # satisfied at the root
-    assert s.clauses == [[1, 2], [1, 3]]
+    assert signed_clauses(s) == [[1, 2], [1, 3]]
     assert s.solve() is True
 
 
@@ -179,7 +195,8 @@ def test_add_clause_copies_the_callers_list():
     s.add_clause(clause)
     s.add_clause((-2, -3))
     assert s.solve() is True
-    assert sorted(s.clauses[0]) == [1, 2, 3] and s.clauses[0] != [1, 2, 3]
+    first = signed_clauses(s)[0]
+    assert sorted(first) == [1, 2, 3] and first != [1, 2, 3]
     assert clause == [1, 2, 3]
 
 
@@ -266,19 +283,19 @@ def test_rescale_keeps_every_free_variable_decidable(monkeypatch):
     s = Solver(4)
     for lit in (-4, -1, -2):  # decisions at levels 1, 2, 3
         s.lim.append(len(s.trail))
-        s._enqueue(lit, None)
+        s._enqueue(code(lit), None)
     s.inc = 1.0
-    s._analyze([1, 2])
+    s._analyze([code(1), code(2)])
     s.inc = 4.0
-    s._analyze([2])
+    s._analyze([code(2)])
     s._backtrack(1)
     s.inc = 101.0
-    s._analyze([4])
+    s._analyze([code(4)])
     assert s.activity[1:] == [0.01, 0.05, 0.0, 1.01]
     s._backtrack(0)
     order = []
     while lit := s._decide():
-        order.append(abs(lit))
+        order.append(abs(signed(lit)))
         s.lim.append(len(s.trail))
         s._enqueue(lit, None)
     assert order == [4, 2, 1, 3]
@@ -303,7 +320,7 @@ def test_heap_invariant_under_a_tiny_rescale_bound(monkeypatch):
         def checked_decide():
             live = {v for act, v in s.heap if -act == s.activity[v]}
             for v in range(1, nvars + 1):
-                if not s.lval[v]:
+                if not s.lval[code(v)]:
                     assert s.inheap[v] and v in live, v
             return decide()
 
@@ -329,6 +346,20 @@ def test_search_counters_on_fixed_cases():
     s = cnf.sat
     assert count == 4
     assert (s.conflicts, s.decisions, s.propagations) == (458, 1359, 23615)
+
+
+def test_search_counters_on_a_tree_compat_target():
+    # the formula of the incompatible tree-compat question: compat --k 3 on
+    # the 2cat-to-3tree target of {xy|z, xz|y, yz|x}, triplets in the
+    # order k_tree_compatible gives them
+    target = reduce_2cat_to_3tree([
+        triplet("x", "y", "z"), triplet("x", "z", "y"), triplet("y", "z", "x")])
+    trips = sorted(target, key=lambda t: tuple(map(var_key, t)))
+    assert (len({x for t in trips for x in t}), len(trips)) == (12, 156)
+    cnf = _TreeCoverCnf(trips, 3)
+    assert cnf.next(None) is None
+    s = cnf.sat
+    assert (s.conflicts, s.decisions, s.propagations) == (194, 514, 38475)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +396,14 @@ def first_uip(s, confl):
         return s.level[abs(lit)]
 
     cur = len(s.lim)
-    clause = {q for q in confl if level(q)}
-    for t in reversed(s.trail):
+    clause = {q for q in map(signed, confl) if level(q)}
+    for t in map(signed, reversed(s.trail)):
         if sum(level(q) == cur for q in clause) == 1:
             break
         if -t in clause:
             clause.remove(-t)
-            clause.update(q for q in s.reason[abs(t)] if q != t and level(q))
+            clause.update(q for q in map(signed, s.reason[abs(t)])
+                          if q != t and level(q))
     return clause
 
 
@@ -386,7 +418,7 @@ def minimised(s, clause):
         r = s.reason[v]
         return r is not None and all(
             u == v or u in below or not s.level[u] or implied(u)
-            for u in map(abs, r))
+            for u in (abs(signed(q)) for q in r))
 
     return {q for q in clause if abs(q) not in below or not implied(abs(q))}
 
@@ -400,7 +432,8 @@ def checked_analysis(s, clauses):
 
     def checked(confl):
         uip = first_uip(s, confl)
-        learnt, back = analyze(confl)
+        codes, back = analyze(confl)
+        learnt = [signed(c) for c in codes]
         levels = [s.level[abs(q)] for q in learnt]
         assert set(learnt) <= uip
         assert set(learnt) == minimised(s, uip)
@@ -411,8 +444,8 @@ def checked_analysis(s, clauses):
         assert back == max(levels[1:], default=0) < levels[0]
         assert len(learnt) == 1 or levels[1] == back
         assert rup(clauses + log, learnt)
-        log.append(list(learnt))
-        return learnt, back
+        log.append(learnt)
+        return codes, back
 
     s._analyze = checked
     return log
@@ -484,10 +517,11 @@ def test_minimisation_stops_at_a_level_outside_the_clause():
     s.reason = Reasons(s.reason)
     for lit in (1, 7, 9):
         s.lim.append(len(s.trail))
-        s._enqueue(lit, None)
+        s._enqueue(code(lit), None)
         confl = s._propagate()
     reads.clear()
-    learnt, back = s._analyze(confl)
+    codes, back = s._analyze(confl)
+    learnt = [signed(c) for c in codes]
     assert set(learnt) == {-9, -8, -7} and learnt[0] == -9 and back == 2
     assert not set(reads) & set(range(2, 7))
 
@@ -548,7 +582,8 @@ def test_add_clause_against_reference_filter(case):
     for c in [[u] for u in units] + wide:
         s.add_clause(c)
         twin.add_clause(c)
-    want = reference_filter(nvars, [0] + s.lval[1:nvars + 1], clause)
+    want = reference_filter(
+        nvars, [0] + [s.lval[code(v)] for v in range(1, nvars + 1)], clause)
     if not s.ok:  # an unsatisfiable solver ignores every clause
         want = None
     if want is ValueError:
@@ -560,22 +595,23 @@ def test_add_clause_against_reference_filter(case):
         if want == []:
             twin.ok = False
         elif want is not None and len(want) == 1:
-            twin.ok = twin._enqueue(want[0], None) and \
+            twin.ok = twin._enqueue(code(want[0]), None) and \
                 twin._propagate() is None
         elif want is not None:
-            twin.clauses.append(want)
-            twin.watches[want[0]].append(want)
-            twin.watches[want[1]].append(want)
+            kept = [code(lit) for lit in want]
+            twin.clauses.append(kept)
+            twin.watches[kept[0]].append(kept)
+            twin.watches[kept[1]].append(kept)
             new = s.clauses[-1]
             assert new is not clause
-            assert s.watches[want[0]][-1] is new
-            assert s.watches[want[1]][-1] is new
+            assert s.watches[kept[0]][-1] is new
+            assert s.watches[kept[1]][-1] is new
     assert solver_state(s) == solver_state(twin)
 
 
 def cnf_fingerprint(sat):
-    return hashlib.sha256(repr(
-        (sat.nvars, [tuple(c) for c in sat.clauses])).encode()).hexdigest()
+    return hashlib.sha256(repr((sat.nvars, [
+        tuple(c) for c in signed_clauses(sat)])).encode()).hexdigest()
 
 
 def pi9_gadget():
@@ -694,7 +730,7 @@ def test_load_refuses_used_solvers_and_missing_variables():
         Solver(2).load(record_of(9, [[1, -2]]))
     wide = Solver(9)
     wide.load(record_of(2, [[1, -2]]))
-    assert wide.clauses == [[1, -2]]
+    assert signed_clauses(wide) == [[1, -2]]
 
 
 def test_record_past_16_bit_literals():
@@ -865,7 +901,7 @@ def reloaded_verdict(cnf):
     sat = cnf.sat
     nvars, clauses = parse_dimacs(cnf.dimacs())
     assert nvars == sat.nvars
-    assert clauses == ([[lit] for lit in sat.trail] + sat.clauses
+    assert clauses == ([[signed(c)] for c in sat.trail] + signed_clauses(sat)
                        + ([] if sat.ok else [[]]))
     twin = Solver(nvars)
     for c in clauses:

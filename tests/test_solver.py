@@ -187,6 +187,67 @@ def test_constraint_masks_follow_satisfies():
                     if satisfies(inst.pi, alpha, c)) for alpha in perms]
 
 
+def exhaustive_by_recursion(inst, cfg, want_all):
+    """The exhaustive scan as it was written first, one recursive call per
+    search node: (solutions, nodes)."""
+    perms = [LinearOrdering(p) for p in permutations(inst.sorted_vars())]
+    masks = solver._constraint_masks(inst, perms)
+    full = (1 << len(inst.constraints)) - 1
+    n = len(perms)
+    found = []
+    nodes = 0
+
+    def rec(start, chosen, acc):
+        nonlocal nodes
+        if len(chosen) == inst.k:
+            if acc == full:
+                found.append(Solution([perms[i] for i in chosen]))
+            return want_all or acc != full
+        for i in range(start, n):
+            nodes += 1
+            if cfg.node_limit is not None and nodes > cfg.node_limit:
+                raise BudgetExceeded(nodes)
+            if not rec(i, chosen + [i], acc | masks[i]):
+                return False
+        return True
+
+    rec(0, [], 0)
+    return found, nodes
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceeded as e:
+        return "budget", e.args
+
+
+def test_exhaustive_loop_matches_the_recursion():
+    # same solutions in the same order and the same node count: a budget
+    # of the recursion's count suffices, and one node less runs out at the
+    # same node, with or without a solution to stop at and whether one or
+    # every solution is asked for
+    rng = random.Random(41)
+    for k, sizes in ((1, (3, 4, 5)), (2, (3, 4, 5)), (3, (3, 4))):
+        for m in sizes:
+            for ncons in (1, 3, 6):
+                inst = make_instance(rng.randrange(11), k, range(m), [
+                    tuple(rng.sample(range(m), 3)) for _ in range(ncons)])
+                for want_all in (False, True):
+                    _, nodes = exhaustive_by_recursion(inst, EXH, want_all)
+                    for limit in (None, 0, nodes // 2, nodes - 1, nodes):
+                        cfg = SolverConfig(mode="exhaustive", node_limit=limit)
+                        ref = outcome(lambda: exhaustive_by_recursion(
+                            inst, cfg, want_all)[0])
+                        got = outcome(solver._exhaustive, inst, cfg, want_all)
+                        assert got == ref, (inst, want_all, limit)
+
+
+def signed(c):
+    """The signed literal of solver literal code c: 2v is v, 2v + 1 is -v."""
+    return -(c >> 1) if c & 1 else c >> 1
+
+
 def logged_pair_order_cnf(monkeypatch, inst):
     """The CNF of inst, and each add_clause call with the solver's clause
     count and trail just before it."""
@@ -209,7 +270,7 @@ def test_pair_order_pin_is_constraint_zero_in_slot_zero(monkeypatch, k):
     sat = cnf.sat
     pin = len(cnf.pairs) * k + 1  # selector (0, 0)
     assert log[-1][0] == [pin]
-    assert pin in sat.trail and sat.level[pin] == 0
+    assert pin in map(signed, sat.trail) and sat.level[pin] == 0
     if k == 1:
         # the at-least-one clause of constraint 0 is already this unit
         assert (len(sat.clauses), sat.trail) == log[-1][1:]
