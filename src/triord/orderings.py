@@ -17,6 +17,18 @@ For example the pattern ``132`` accepts exactly the orderings with
 the single most bug-prone convention in the library; ``tests/test_orderings``
 pins all six evaluations for one fixed ordering.
 
+The hot paths read a family as *comparison codes* instead.  Under an
+ordering, with a, b, c the positions of v1, v2, v3, the code of the
+constraint is ``(a < b) << 2 | (b < c) << 1 | (a < c)``: one of the six
+relative orders of the three positions (codes 1 and 6 would be cycles).
+Each pattern names one relative order, so ``PiFamily.codes`` is a bitmask
+over the 8 codes, and the constraint is Pi-satisfied iff bit ``code`` is
+set.  The pattern 132 puts v1, v2, v3 at ranks 0, 2, 1: code 0b101 = 5.
+``PiFamily.banned`` lists the patterns outside Pi as 0-based index triples
+(132 as (0, 2, 1)), in ``permutations((1, 2, 3))`` order.  Both are
+derived from the pattern sets at import; ``pattern_matches`` and
+``satisfies`` remain the literal definition they are tested against.
+
 Variables are arbitrary hashable labels (ints or strings).  ``var_key``
 provides the deterministic total order used for every tie-break.
 """
@@ -48,6 +60,21 @@ _PI_TABLE: dict[int, frozenset[tuple[int, int, int]]] = {
     10: _S3 - {(1, 2, 3)},
 }
 
+
+def _code(p: tuple[int, int, int]) -> int:
+    """The comparison code of the relative order that pattern p names."""
+    a, b, c = p.index(1), p.index(2), p.index(3)  # ranks of v1, v2, v3
+    return (a < b) << 2 | (b < c) << 1 | (a < c)
+
+
+#: Per family index: (bitmask of allowed codes, banned index triples).
+_CODE_TABLE: dict[int, tuple[int, tuple[tuple[int, int, int], ...]]] = {
+    i: (sum(1 << _code(p) for p in perms),
+        tuple((p[0] - 1, p[1] - 1, p[2] - 1)
+              for p in permutations((1, 2, 3)) if p not in perms))
+    for i, perms in _PI_TABLE.items()
+}
+
 #: Family indices whose 2-order decision problem is trivially satisfiable
 #: by {alpha, reversal(alpha)} for any alpha.
 TRIVIAL_2ORDER = frozenset({2, 3, 7, 8, 10})
@@ -74,6 +101,16 @@ class PiFamily:
             raise ValueError(f"pattern family index out of range: {self.index}")
         if self.perms != _PI_TABLE[self.index]:
             raise ValueError(f"pattern set does not match family {self.index}")
+
+    @property
+    def codes(self) -> int:
+        """Bitmask over the comparison codes its patterns allow."""
+        return _CODE_TABLE[self.index][0]
+
+    @property
+    def banned(self) -> tuple[tuple[int, int, int], ...]:
+        """The patterns outside the family, as 0-based index triples."""
+        return _CODE_TABLE[self.index][1]
 
     def __repr__(self):
         pats = sorted("".join(map(str, p)) for p in self.perms)

@@ -6,8 +6,8 @@ ordered by their smallest leaf label.  Equality, hashing and serialization
 all go through this canonical form, which is equivalent to comparing the
 sorted cluster sets.  A caterpillar's shape is as deep as its leaf count,
 so every walk over a shape goes through ``_subtrees``, an explicit-stack
-listing of its subtrees, or reads ``RootedTree.clusters``; only BUILD's
-recursion over components and ``_insertions`` (at most 8 labels) recurse.
+listing of its subtrees, or reads ``RootedTree.clusters``; only
+``_insertions`` (at most 8 labels) recurses.
 
 A rooted triplet ``ab|c`` is the 3-leaf tree with cherry {a, b} below the
 witness c; it is stored canonically as ``(a, b, c)`` with a < b.  Tree ``T``
@@ -259,10 +259,9 @@ def aho_build(triplets: Iterable[Triplet],
     children sorted by smallest descendant label, which cannot remove any
     displayed triplet.
 
-    ``_build`` recurses once per level of components.  The package calls
-    it only from the tree-cover decoder, whose formula has a closure block
-    per four labels, so its trees stay small (13 labels at most in the
-    benchmark workloads)."""
+    ``_build`` splits label sets on an explicit stack, so components
+    nested as deep as the label count (the chain ``x1 x2|x3``,
+    ``x2 x3|x4``, ...) need no recursion."""
     triplets = frozenset(triplets)
     labels = frozenset(labels) if labels is not None else triplet_labels(triplets)
     if not triplet_labels(triplets) <= labels:
@@ -273,42 +272,53 @@ def aho_build(triplets: Iterable[Triplet],
 
 
 def _build(triplets, labels) -> Optional[RootedTree]:
-    if len(labels) == 1:
-        (x,) = labels
-        return leaf(x)
-    if len(labels) == 2:
-        x, y = sorted(labels, key=var_key)
-        return join(leaf(x), leaf(y))
-    # components of the cherry graph {a-b : ab|c with a,b,c in scope}
-    parent = {x: x for x in labels}
-
+    """Depth first over the label sets BUILD splits: a task is either a
+    (triplets, labels) set to split or the number of finished children to
+    join, and ``done`` holds the shapes of finished sets, the last one on
+    top."""
     def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    relevant = [t for t in triplets if set(t) <= labels]
-    for a, b, _ in relevant:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comps: dict = {}
-    for x in labels:
-        comps.setdefault(find(x), set()).add(x)
-    if len(comps) == 1:
-        return None  # incompatible at this level
-    subtrees = []
-    for comp in sorted(comps.values(), key=lambda c: var_key(min(c, key=var_key))):
-        inside = frozenset(t for t in relevant if set(t) <= comp)
-        sub = _build(inside, frozenset(comp))
-        if sub is None:
-            return None
-        subtrees.append(sub)
-    tree = subtrees[0]
-    for sub in subtrees[1:]:
-        tree = join(tree, sub)
-    return tree
+    key = {x: var_key(x) for x in labels}
+    done: list = []
+    tasks: list = [(triplets, labels)]
+    while tasks:
+        task = tasks.pop()
+        if isinstance(task, int):  # join the last `task` shapes in order
+            shape = done[-task]
+            for sub in done[len(done) - task + 1:]:
+                shape = (shape, sub)
+            del done[-task:]
+            done.append(shape)
+            continue
+        triplets, labels = task
+        if len(labels) <= 2:
+            done.append(tuple(labels) if len(labels) == 2 else next(iter(labels)))
+            continue
+        # components of the cherry graph {a-b : ab|c}; every triplet of
+        # a task lies inside its labels
+        parent = {x: x for x in labels}
+        for a, b, _ in triplets:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+        comps: dict = {}
+        for x in labels:
+            comps.setdefault(find(x), set()).add(x)
+        if len(comps) == 1:
+            return None  # incompatible at this level
+        inside: dict = {root: [] for root in comps}
+        for t in triplets:  # a and b share a component; in it iff c is
+            root = find(t[0])
+            if find(t[2]) == root:
+                inside[root].append(t)
+        order = sorted(comps, key=lambda r: min(map(key.__getitem__, comps[r])))
+        tasks.append(len(order))
+        tasks += [(inside[r], frozenset(comps[r])) for r in reversed(order)]
+    return RootedTree(done[0])
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from ._sat import (
     Record, Solver as _CnfSolver, Templates as _Templates, record, signed,
 )
 from .orderings import (
-    TRIVIAL_2ORDER, Instance, LinearOrdering, reversal, satisfies,
+    TRIVIAL_2ORDER, Instance, LinearOrdering, reversal,
 )
 
 
@@ -86,16 +86,27 @@ class Solution:
 
 
 def check_solution(inst: Instance, sol: Solution) -> bool:
-    """Every constraint pi-satisfied by at least one member ordering."""
+    """Every constraint pi-satisfied by at least one member ordering.
+
+    False when the multiset has more than k members; ValueError when a
+    member orders other variables than the instance.  Each (constraint,
+    member) costs three position lookups and one bit test of the family's
+    comparison codes (see ``orderings``)."""
     if len(sol.orderings) > inst.k:
         return False
     for o in sol.orderings:
         if o.domain() != inst.vars:
             raise ValueError("solution ordering domain differs from instance")
-    return all(
-        any(satisfies(inst.pi, o, c) for o in sol.orderings)
-        for c in inst.constraints
-    )
+    allowed = inst.pi.codes
+    members = [o.inverse for o in sol.orderings]
+    for x, y, z in inst.constraints:
+        for pos in members:
+            a, b, c = pos[x], pos[y], pos[z]
+            if allowed >> ((a < b) << 2 | (b < c) << 1 | (a < c)) & 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +116,9 @@ def check_solution(inst: Instance, sol: Solution) -> bool:
 def _constraint_masks(inst: Instance, perms):
     """Bitmask of satisfied constraints for each full ordering.
 
-    Under an ordering, constraint (x, y, z) matches exactly one pattern,
-    its symbols listed by increasing position, and the three comparisons
-    x < y, y < z, x < z of their positions name that pattern.  So the
-    family becomes one set of 3-bit comparison codes, and each
-    constraint costs three position lookups and one bit test."""
-    allowed = 0
-    for p in inst.pi.perms:
-        a, b, c = p.index(1), p.index(2), p.index(3)  # ranks of x, y, z
-        allowed |= 1 << ((a < b) << 2 | (b < c) << 1 | (a < c))
+    Each constraint costs three position lookups and one bit test of the
+    family's comparison codes (see ``orderings``)."""
+    allowed = inst.pi.codes
     bits = [(1 << ci, c) for ci, c in enumerate(inst.constraints)]
     masks = []
     for alpha in perms:
@@ -240,7 +245,9 @@ class _PairOrderCnf(_SlotCnf):
 
     A linear order per slot is a transitively closed orientation of the
     variable pairs; selector (ci, t) says that constraint ci matches an
-    allowed pattern in slot t, and every constraint needs a selector.
+    allowed pattern in slot t, by one clause per pattern of
+    ``pi.banned`` that forbids its order there, and every constraint
+    needs a selector.
     Pair (i, j), i < j, in slot t is variable 1 + pair_index * k + t, true
     when i precedes j.
 
@@ -297,13 +304,12 @@ class _PairOrderCnf(_SlotCnf):
             _CnfSolver(npairs * k + len(inst.constraints) * k), k, (n, k),
             self.transitivity)
         add = self.sat.add_clause
-        allowed = {tuple(p) for p in inst.pi.perms}
-        for ci, c in enumerate(inst.constraints):
+        banned = inst.pi.banned
+        for ci, (x, y, z) in enumerate(inst.constraints):
             sel = npairs * k + ci * k + 1  # selector (ci, t) is sel + t
-            for p in permutations((1, 2, 3)):
-                if p in allowed:
-                    continue
-                u, v, w = (vidx[c[s - 1]] for s in p)
+            c = vidx[x], vidx[y], vidx[z]
+            for i, j, l in banned:
+                u, v, w = c[i], c[j], c[l]
                 for t, b in enumerate(before):
                     add([-sel - t, -b[u][v], -b[v][w]])
             add(list(range(sel, sel + k)))

@@ -80,6 +80,23 @@ def test_satisfies_missing_variable():
         satisfies(pi_family(0), ordering(1, 2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("i", range(11))
+def test_comparison_codes_follow_the_definition(i):
+    # one relative order of the positions a, b, c of (x, y, z) per
+    # ordering; its code's bit is set iff some pattern of the family
+    # matches, and the banned triples are the other patterns, 0-based
+    pi = pi_family(i)
+    c = ("x", "y", "z")
+    for alpha in all_orderings(c):
+        px, py, pz = (alpha.position(v) for v in c)
+        code = (px < py) << 2 | (py < pz) << 1 | (px < pz)
+        assert bool(pi.codes >> code & 1) == \
+            any(pattern_matches(p, alpha, c) for p in pi.perms), alpha
+    assert pi.codes & (1 << 1 | 1 << 6) == 0  # the two cyclic codes
+    assert pi.banned == tuple((p[0] - 1, p[1] - 1, p[2] - 1)
+                              for p in S3 if p not in pi.perms)
+
+
 # ---------------------------------------------------------------------------
 # Ordering algebra
 

@@ -218,6 +218,69 @@ def test_aho_against_enumeration_oracle():
             assert all(displays(built, r) for r in ts)
 
 
+def build_by_recursion(triplets, labels):
+    """BUILD as it was written first, one recursive call per level of
+    components, and joining RootedTrees as it goes."""
+    if len(labels) == 1:
+        (x,) = labels
+        return leaf(x)
+    if len(labels) == 2:
+        x, y = sorted(labels, key=var_key)
+        return join(leaf(x), leaf(y))
+    parent = {x: x for x in labels}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    relevant = [t for t in triplets if set(t) <= labels]
+    for a, b, _ in relevant:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    comps = {}
+    for x in labels:
+        comps.setdefault(find(x), set()).add(x)
+    if len(comps) == 1:
+        return None
+    subtrees = []
+    for comp in sorted(comps.values(),
+                       key=lambda c: var_key(min(c, key=var_key))):
+        inside = frozenset(t for t in relevant if set(t) <= comp)
+        sub = build_by_recursion(inside, frozenset(comp))
+        if sub is None:
+            return None
+        subtrees.append(sub)
+    tree = subtrees[0]
+    for sub in subtrees[1:]:
+        tree = join(tree, sub)
+    return tree
+
+
+def test_build_loop_matches_the_recursion():
+    # criterion 8's space: the same tree, or None, for every set of at
+    # most four triplets over five labels, all five in the universe
+    labels = frozenset(range(1, 6))
+    for ts in all_triplet_sets(sorted(labels), 4):
+        built = aho_build(ts, labels=labels)
+        assert built == build_by_recursion(ts, labels), ts
+    # a universe wider than the triplets' labels, with mixed label types
+    ts = {triplet("a", 2, "c"), triplet(1, "c", "d")}
+    wide = frozenset(["a", "c", "d", 1, 2, "e", 7])
+    assert aho_build(ts, labels=wide) == build_by_recursion(ts, wide)
+
+
+def test_build_on_a_chain_deeper_than_the_recursion_limit():
+    # each level of x0 x1|x2, x1 x2|x3, ... splits off one label, so the
+    # components nest 1,199 deep
+    chain = [triplet(f"x{i}", f"x{i + 1}", f"x{i + 2}") for i in range(1198)]
+    tree = aho_build(chain)
+    assert len(tree.leaves) == 1200
+    assert all(displays(tree, r) for r in chain)
+
+
 def test_triplet_digraph():
     d = triplet_digraph({triplet("a", "b", "c")})
     assert d.arcs == {("c", "a"), ("c", "b")}

@@ -44,6 +44,36 @@ def test_check_solution_domain_mismatch():
         check_solution(inst, Solution([ordering("a", "b")]))
 
 
+def check_by_definition(inst, sol):
+    """check_solution as the plain definition, after its size test."""
+    if len(sol.orderings) > inst.k:
+        return False
+    return all(any(satisfies(inst.pi, o, c) for o in sol.orderings)
+               for c in inst.constraints)
+
+
+@pytest.mark.parametrize("pi", range(11))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_check_solution_matches_the_definition(pi, data):
+    # multisets of up to k + 1 random orderings, so that many fail, some
+    # have more than k members, and one member over another domain
+    m = data.draw(st.integers(3, 5))
+    k = data.draw(st.integers(1, 3))
+    cs = data.draw(st.lists(
+        st.permutations(range(m)).map(lambda p: tuple(p[:3])), max_size=6))
+    inst = make_instance(pi, k, range(m), cs)
+    members = data.draw(st.lists(st.permutations(range(m)),
+                                 min_size=1, max_size=k + 1))
+    sol = Solution(map(LinearOrdering, members))
+    assert check_solution(inst, sol) == check_by_definition(inst, sol)
+    other = data.draw(st.sampled_from([m - 1, m + 1]))
+    wrong = Solution([*map(LinearOrdering, members[:k - 1]),
+                      LinearOrdering(range(other))])
+    with pytest.raises(ValueError):
+        check_solution(inst, wrong)
+
+
 def test_solve_examples():
     sat = make_instance(0, 1, "abc", [("a", "b", "c")])
     sol = solve(sat, CDCL)
