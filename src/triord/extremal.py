@@ -11,14 +11,23 @@ orientation, constrained by
   (1) covering: every orientation appears in some slot,
   (2) trichotomy: exactly one orientation per slot and triple,
   (3)+(4) four-leaf closure: ab|c and bc|d force ab|d and ac|d, which
-      characterizes the displayed sets of trees,
-  (5) in caterpillar mode, the one-cherry rule: never both ab|c and cd|a.
+      characterizes the displayed sets of trees.
 
 The CDCL model also breaks slot symmetry without loss of generality: the
 three orientations of the first leaf triple go to slots 0, 1 and 2 (the
-first min(k, 3) of them; see ``_TreeCoverCnf``), so k <= 2 is refuted at
-the root.  ``tau_cnf`` builds that formula, and its ``dimacs`` text is what
-an outside solver or proof checker reads.
+first min(k, 3); see ``_TreeCoverCnf``), so k <= 2 is refuted at the root.
+
+A caterpillar displays ab|c exactly when c is its top leaf of the three,
+so tau_c(n) <= k is the k-order Pi1 instance (Pi1 = {123, 132}) with one
+constraint (c, a, b) per leaf c and pair {a, b} not holding c; its least
+k is the order dimension of K_n (Dushnik, Proc. AMS 1950; Hosten &
+Morris, Discrete Math. 1999).  Caterpillar mode solves it on
+``solver._PairOrderCnf`` with slot 0 pinned to 1 < 2 < ... < n, which
+loses no cover: relabelling maps the instance onto itself, so any
+solution can be relabelled to hold the identity, in slot 0.  Listed leaf
+first, constraint 0 is (1, 2, 3), so this agrees with ``_PairOrderCnf``'s
+own pin (constraint 0 holds in slot 0).  ``tau_cnf`` builds either
+formula; its ``dimacs`` text is what an outside solver or checker reads.
 
 The module also carries the surrounding machinery: the logarithmic upper
 bound on tau_c with its constructive greedy caterpillar cover (each round
@@ -35,12 +44,12 @@ from dataclasses import dataclass
 from itertools import combinations, count
 from typing import Iterable, Optional
 
-from .orderings import ordering, var_key
+from .orderings import make_instance, ordering, var_key
 from .phylo import (
-    RootedTree, Triplet, _TreeCoverCnf, _subtrees, caterpillar_of, displays,
-    join, triplet, triplet_labels,
+    RootedTree, Triplet, _TreeCoverCnf, _subtrees, caterpillar_of,
+    displayed_triplets, displays, join, triplet, triplet_labels,
 )
-from .solver import BudgetExceeded
+from .solver import BudgetExceeded, _PairOrderCnf, _SlotCnf
 
 __all__ = [
     "full_triplet_set", "tau_cnf", "TauDecision", "tau_decision",
@@ -80,18 +89,27 @@ class TauDecision:
     nodes: int = 0
 
 
-def tau_cnf(n: int, k: int, caterpillar_mode: bool = False) -> _TreeCoverCnf:
-    """The k-tree (k-caterpillar) cover formula of T_n, before any solve."""
+def tau_cnf(n: int, k: int, caterpillar_mode: bool = False) -> _SlotCnf:
+    """The k-tree cover formula of T_n, or the pinned k-order Pi1 formula
+    in caterpillar mode (see the module docstring), before any solve."""
     if n < 3:
         raise ValueError(f"need at least 3 leaves, got {n}")
     if k < 1:
         raise ValueError(f"need at least one tree slot, got {k}")
-    return _TreeCoverCnf(sorted(full_triplet_set(n)), k, caterpillar_mode)
+    if not caterpillar_mode:
+        return _TreeCoverCnf(sorted(full_triplet_set(n)), k)
+    labels = range(1, n + 1)
+    cnf = _PairOrderCnf(make_instance(1, k, labels, [
+        (c, a, b) for c in labels for a, b in combinations(labels, 2)
+        if c not in (a, b)]))
+    for p in range(len(cnf.pairs)):
+        cnf.sat.add_clause([1 + p * k])  # slot 0: i before j for i < j
+    return cnf
 
 
 def tau_decision(n: int, k: int, caterpillar_mode: bool = False,
                  node_limit: Optional[int] = None,
-                 cnf: Optional[_TreeCoverCnf] = None) -> TauDecision:
+                 cnf: Optional[_SlotCnf] = None) -> TauDecision:
     """Decide whether k trees (caterpillars) suffice to display T_n;
     ``node_limit`` caps the CDCL conflicts.  ``cnf`` is the formula to
     solve: ``tau_cnf(n, k, caterpillar_mode)``, built here unless it is
@@ -99,12 +117,17 @@ def tau_decision(n: int, k: int, caterpillar_mode: bool = False,
     if cnf is None:
         cnf = tau_cnf(n, k, caterpillar_mode)
     try:
-        trees = cnf.next(node_limit)
+        found = cnf.next(node_limit)
     except BudgetExceeded:
         return TauDecision(n, k, caterpillar_mode, None,
                            nodes=cnf.sat.conflicts)
-    return TauDecision(n, k, caterpillar_mode, trees is not None,
-                       tuple(trees) if trees else None, cnf.sat.conflicts)
+    if found is not None and caterpillar_mode:  # each order top leaf first
+        found = [caterpillar_of(o.seq[::-1]) for o in found]
+        if frozenset().union(*map(displayed_triplets, found)) != \
+                full_triplet_set(n):
+            raise RuntimeError("the caterpillars do not display T_n")
+    return TauDecision(n, k, caterpillar_mode, found is not None,
+                       tuple(found) if found else None, cnf.sat.conflicts)
 
 
 @dataclass(frozen=True)

@@ -510,32 +510,23 @@ def _cherry(a, b, w) -> tuple:
     return (a, b, w) if a < b else (b, a, w)
 
 
-def _closure_patterns() -> tuple:
-    impls, pairs = set(), set()
-    for a, b, c, d in permutations(range(4)):
-        p, q = _cherry(a, b, c), _cherry(b, c, d)
-        impls.add((p, q, _cherry(a, b, d)))
-        impls.add((p, q, _cherry(a, c, d)))
-        pairs.add((*sorted((p, _cherry(c, d, a))), None))
-    return sorted(impls), sorted(pairs)
+#: the closure on the quad (0, 1, 2, 3): ab|c and bc|d force ab|d and ac|d
+_IMPLICATIONS = sorted({
+    (_cherry(a, b, c), _cherry(b, c, d), _cherry(a, x, d))
+    for a, b, c, d in permutations(range(4)) for x in (b, c)})
 
 
-_IMPLICATIONS, _ONE_CHERRY = _closure_patterns()
-
-
-def four_leaf_closure(quad, caterpillar: bool = False) -> list:
+def four_leaf_closure(quad) -> list:
     """The four-leaf constraints on one orientation per leaf triple.
 
     ``quad`` is four leaves in increasing order.  Each constraint is
     ``(p, q, r)`` over canonical triplets: p and q together force r (ab|c
-    and bc|d force ab|d and ac|d; 48 of them), or, when r is None, p and
-    q exclude each other (the 12 one-cherry pairs ab|c, cd|a; caterpillar
-    mode only).  An orientation of every leaf triple meets all of them
-    exactly when it is the displayed set of a tree (of a caterpillar).
+    and bc|d force ab|d and ac|d; 48 of them).  An orientation of every
+    leaf triple meets all of them exactly when it is the displayed set of
+    a tree.
     """
-    pats = _IMPLICATIONS + _ONE_CHERRY if caterpillar else _IMPLICATIONS
-    return [tuple(None if t is None else (quad[t[0]], quad[t[1]], quad[t[2]])
-                  for t in pat) for pat in pats]
+    return [tuple((quad[a], quad[c], quad[w]) for a, c, w in pat)
+            for pat in _IMPLICATIONS]
 
 
 def _orient(tid: dict, a, c, w) -> int:
@@ -547,8 +538,8 @@ def _orient(tid: dict, a, c, w) -> int:
 
 
 class _TreeCoverCnf(_SlotCnf):
-    """The CNF of a k-tree (k-caterpillar if flagged) cover of the
-    triplets, and a checked decoder of its models.
+    """The CNF of a k-tree cover of the triplets, and a checked decoder
+    of its models.
 
     One variable per orientation row of each leaf triple (see _orient)
     per tree slot, constrained by the four-leaf closure: k closed
@@ -570,18 +561,17 @@ class _TreeCoverCnf(_SlotCnf):
 
     Every clause before the covers (one orientation per leaf triple and
     slot, and the four-leaf closure) depends only on the number of
-    labels, k and the caterpillar flag: ``closure`` writes them as a
-    record (see _sat) that every question of the shape loads from
-    ``templates``.
+    labels and k: ``closure`` writes them as a record (see _sat) that
+    every question of the shape loads from ``templates``.
     """
 
-    #: closure records by (number of labels, k, caterpillars), up to
-    #: 2^20 literals: a 13-label tree-mode record at k = 3 has 316,602
-    #: in 0.6 MB (16-bit), and 106,392 widths in 0.2 MB
+    #: closure records by (number of labels, k), up to 2^20 literals: a
+    #: 13-label record at k = 3 has 316,602 in 0.6 MB (16-bit), and
+    #: 106,392 widths in 0.2 MB
     templates = Templates(1 << 20)
 
     @staticmethod
-    def closure(nlabels: int, k: int, caterpillars: bool) -> Record:
+    def closure(nlabels: int, k: int) -> Record:
         """For each leaf triple and slot, exactly one orientation; then
         for each quad, its four-leaf closure slot by slot."""
         tid = {t: i for i, t in enumerate(combinations(range(nlabels), 3))}
@@ -603,13 +593,11 @@ class _TreeCoverCnf(_SlotCnf):
         # quad's 12 orientation rows; every increasing quad maps onto it
         # with the same orientations
         quad_tid = {t: i for i, t in enumerate(combinations(range(4), 3))}
-        table = [tuple(None if t is None else _orient(quad_tid, *t)
-                       for t in pat)
-                 for pat in four_leaf_closure((0, 1, 2, 3), caterpillars)]
+        table = [tuple(_orient(quad_tid, *t) for t in pat)
+                 for pat in four_leaf_closure((0, 1, 2, 3))]
         four = [at(row, b, neg) for p, q, r in table for b in range(k)
-                for row, neg in ((p, 1), (q, 1), (r, 0)) if row is not None]
-        four_widths = tuple(2 if r is None else 3
-                            for _, _, r in table for _ in range(k))
+                for row, neg in ((p, 1), (q, 1), (r, 0))]
+        four_widths = (3,) * (len(four) // 3)
 
         def chunks():  # one per leaf triple, then one per quad
             pick = itemgetter(*one)
@@ -621,8 +609,8 @@ class _TreeCoverCnf(_SlotCnf):
                 yield four_widths, pick(a + b + c + d)
         return record(nvars, chunks())
 
-    def __init__(self, triplets: list, k: int, caterpillars: bool = False):
-        self.triplets, self.caterpillars = triplets, caterpillars
+    def __init__(self, triplets: list, k: int):
+        self.triplets = triplets
         labels = sorted(triplet_labels(triplets), key=var_key)
         # the canonical triplet of each orientation row
         self.rows = [triplet(labels[a], labels[c], labels[w])
@@ -631,7 +619,7 @@ class _TreeCoverCnf(_SlotCnf):
         self.row_of = {r: i for i, r in enumerate(self.rows)}
 
         super().__init__(Solver(len(self.rows) * k), k,
-                         (len(labels), k, caterpillars), self.closure)
+                         (len(labels), k), self.closure)
         add = self.sat.add_clause
         covers = [self.row_of[triplet(*t)] for t in triplets]
         for i in covers:
@@ -647,10 +635,9 @@ class _TreeCoverCnf(_SlotCnf):
         for b in range(self.k):
             tree = aho_build({r for r, v in zip(self.rows, model[1 + b::self.k])
                               if v})
-            if tree is None or self.caterpillars and not is_caterpillar(tree):
-                raise RuntimeError(
-                    f"tree slot {b} of the CNF model is not a "
-                    + ("caterpillar" if self.caterpillars else "tree"))
+            if tree is None:
+                raise RuntimeError(f"tree slot {b} of the CNF model is not "
+                                   "a tree")
             out.append(tree)
         for t in self.triplets:
             if not any(displays(tree, t) for tree in out):

@@ -12,15 +12,18 @@ import random
 
 import pytest
 
+from triord import extremal
 from triord.extremal import (
     Rooting, UnrootedTree, find_missing_triplet,
     full_triplet_set, greedy_caterpillar_cover, log_upper_bound,
-    root_location, rootings_of, tau, tau_decision, unroot,
+    root_location, rootings_of, tau, tau_cnf, tau_decision, unroot,
 )
 from triord.phylo import (
-    cherries, displayed_triplets, displays, enumerate_caterpillars,
-    enumerate_trees, is_caterpillar, join, leaf, triplet,
+    caterpillar_of, cherries, displayed_triplets, displays,
+    enumerate_caterpillars, enumerate_trees, is_caterpillar, join, leaf,
+    triplet,
 )
+from triord.solver import _PairOrderCnf
 
 
 def brute_cover_exists(n, k, caterpillars_only):
@@ -85,6 +88,26 @@ def test_tau_decision_against_tree_space(n, cat):
     for k in range(1, 5):
         d = tau_decision(n, k, caterpillar_mode=cat)
         assert d.answer == brute_cover_exists(n, k, cat)
+
+
+def test_caterpillar_slot_pin_loses_no_cover():
+    # the caterpillar-mode formula pins slot 0 to 1 < 2 < ... < n; its
+    # verdict is the unpinned Pi1 formula's, whose own pin puts the first
+    # constraint, (1, 2, 3), in slot 0
+    for n in range(3, 9):
+        for k in range(1, 5):
+            inst = tau_cnf(n, k, caterpillar_mode=True).inst
+            assert inst.constraints[0] == (1, 2, 3)
+            plain = _PairOrderCnf(inst).next(None) is not None
+            assert tau_decision(n, k, caterpillar_mode=True).answer == plain
+
+
+def test_caterpillar_witness_is_checked_against_t_n(monkeypatch):
+    # every order read as one and the same caterpillar shows a third of T_4
+    one = caterpillar_of((4, 3, 2, 1))
+    monkeypatch.setattr(extremal, "caterpillar_of", lambda seq: one)
+    with pytest.raises(RuntimeError, match="T_n"):
+        tau_decision(4, 3, caterpillar_mode=True)
 
 
 def test_tau_table_small():

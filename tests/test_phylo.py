@@ -403,7 +403,7 @@ def test_partition_search_fingerprint():
         "13a4cbd8f926f434b7d9cd112835e41c103a22e27a1be73c475ac6861904c5e3")
 
 
-def tree_cnf_by_closure(trips, n, k, caterpillars):
+def tree_cnf_by_closure(trips, n, k):
     """The tree-cover CNF of triplets over labels 1..n, clause by clause:
     for every leaf triple and slot, exactly one orientation; for every
     quad, its four_leaf_closure instantiated per slot; then one cover
@@ -422,10 +422,9 @@ def tree_cnf_by_closure(trips, n, k, caterpillars):
             v0, v1, v2 = var(x, y, z, b), var(x, z, y, b), var(y, z, x, b)
             clauses += [[v0, v1, v2], [-v0, -v1], [-v0, -v2], [-v1, -v2]]
     for quad in combinations(range(n), 4):
-        for p, q, r in four_leaf_closure(quad, caterpillars):
+        for p, q, r in four_leaf_closure(quad):
             for b in range(k):
-                clauses.append([-var(*p, b), -var(*q, b)] +
-                               ([] if r is None else [var(*r, b)]))
+                clauses.append([-var(*p, b), -var(*q, b), var(*r, b)])
     covers = [[var(a - 1, c - 1, w - 1, b) for b in range(k)]
               for a, c, w in trips]
     on_triple = {}
@@ -450,26 +449,22 @@ def test_tree_cnf_follows_the_closure_generator():
             if len({x for t in trips for x in t}) == n:
                 break
         for k in (1, 2, 3):
-            for caterpillars in (False, True):
-                sat = phylo._TreeCoverCnf(trips, k, caterpillars).sat
-                # the solver add_clause builds from the generator's clauses
-                twin = phylo.Solver(sat.nvars)
-                for c in tree_cnf_by_closure(trips, n, k, caterpillars):
-                    twin.add_clause(c)
-                assert (sat.clauses, sat.trail) == (twin.clauses, twin.trail)
+            sat = phylo._TreeCoverCnf(trips, k).sat
+            # the solver add_clause builds from the generator's clauses
+            twin = phylo.Solver(sat.nvars)
+            for c in tree_cnf_by_closure(trips, n, k):
+                twin.add_clause(c)
+            assert (sat.clauses, sat.trail) == (twin.clauses, twin.trail)
 
 
 @st.composite
 def _cover_questions(draw):
-    """(triplets, k, caterpillars): a subset of the triplets displayed by
-    k random trees (caterpillars), plus at most one arbitrary triplet so
-    that some questions have no cover; 3-4 labels with k <= 3, 5 labels
-    with k <= 2."""
+    """(triplets, k): a subset of the triplets displayed by k random
+    trees, plus at most one arbitrary triplet so that some questions have
+    no cover; 3-4 labels with k <= 3, 5 labels with k <= 2."""
     n = draw(st.integers(3, 5))
     k = draw(st.integers(1, 2 if n == 5 else 3))
-    caterpillars = draw(st.booleans())
-    pool = (enumerate_caterpillars if caterpillars else enumerate_trees)(
-        range(n))
+    pool = enumerate_trees(range(n))
     shown = sorted(frozenset().union(*(
         displayed_triplets(t) for t in draw(
             st.lists(st.sampled_from(pool), min_size=k, max_size=k)))))
@@ -477,20 +472,19 @@ def _cover_questions(draw):
     trips |= draw(st.sets(st.sampled_from(
         [triplet(a, b, c) for a, b, c in permutations(range(n), 3)]),
         max_size=1))
-    return sorted(trips), k, caterpillars
+    return sorted(trips), k
 
 
-def assert_enumerates_every_cover(trips, k, caterpillars):
+def assert_enumerates_every_cover(trips, k):
     """_TreeCoverCnf next/block enumeration lists every multiset of k
-    trees (caterpillars) that displays the triplets, each once, against
-    brute force over every multiset of k trees on the labels."""
-    pool = (enumerate_caterpillars if caterpillars else enumerate_trees)(
-        triplet_labels(trips))
+    trees that displays the triplets, each once, against brute force
+    over every multiset of k trees on the labels."""
+    pool = enumerate_trees(triplet_labels(trips))
     shown = [displayed_triplets(t) for t in pool]
     expected = {tuple(pool[i] for i in c)
                 for c in combinations_with_replacement(range(len(pool)), k)
                 if set(trips) <= frozenset().union(*(shown[i] for i in c))}
-    cnf = phylo._TreeCoverCnf(trips, k, caterpillars)
+    cnf = phylo._TreeCoverCnf(trips, k)
     found = []
     while (trees := cnf.next(None)) is not None:
         found.append(tuple(sorted(trees, key=RootedTree.sort_key)))
@@ -507,7 +501,7 @@ def test_tree_cnf_enumeration_matches_brute_force(question):
 
 @st.composite
 def _pinned_cover_questions(draw):
-    """(triplets, k, caterpillars) on labels 0..3, in a drawn input order,
+    """(triplets, k) on labels 0..3, in a drawn input order,
     with two or all three orientations of one leaf triple, so that the
     slot pins put more than one triplet in place."""
     x, y, z = draw(st.sampled_from(list(combinations(range(4), 3))))
@@ -516,8 +510,7 @@ def _pinned_cover_questions(draw):
     trips |= draw(st.sets(st.sampled_from(
         [triplet(a, b, c) for a, b, c in permutations(range(4), 3)]),
         max_size=4))
-    return (draw(st.permutations(sorted(trips))), draw(st.integers(1, 3)),
-            draw(st.booleans()))
+    return draw(st.permutations(sorted(trips))), draw(st.integers(1, 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -526,26 +519,24 @@ def test_slot_pins_lose_no_cover(question):
     assert_enumerates_every_cover(*question)
 
 
-@pytest.mark.parametrize("caterpillars", [False, True])
-def test_slot_pins_lose_no_four_tree_cover(caterpillars):
+def test_slot_pins_lose_no_four_tree_cover():
     # k = 4 on 4 labels has hundreds of covers, so two fixed sets: every
     # triplet on 4 labels, and one full leaf triple with three more
     t4 = [triplet(a, b, c) for a, b, c in permutations(range(1, 5), 3)
           if a < b]
     for trips in (t4, [triplet(2, 3, 1), triplet(1, 4, 2), triplet(1, 2, 3),
                        triplet(3, 4, 1), triplet(1, 3, 2), triplet(2, 4, 3)]):
-        assert_enumerates_every_cover(trips, 4, caterpillars)
+        assert_enumerates_every_cover(trips, 4)
 
 
-@pytest.mark.parametrize("caterpillars", [False, True])
-def test_full_leaf_triple_refutes_two_slots_at_the_root(caterpillars):
+def test_full_leaf_triple_refutes_two_slots_at_the_root():
     # the pins put two orientations of a leaf triple in slots 0 and 1,
     # and the third then has no slot: "no" before any search
     for trips in ([triplet(1, 2, 3), triplet(1, 3, 2), triplet(2, 3, 1)],
                   [triplet(1, 4, 2), triplet(1, 2, 3), triplet(2, 4, 1),
                    triplet(1, 2, 4), triplet(2, 3, 4)]):
         for k in (1, 2):
-            cnf = phylo._TreeCoverCnf(trips, k, caterpillars)
+            cnf = phylo._TreeCoverCnf(trips, k)
             assert cnf.next(None) is None
             assert cnf.sat.conflicts == 0
 
@@ -610,6 +601,36 @@ def test_newick_round_trip():
         parse_newick("((a,b);")
     with pytest.raises(ValueError):
         parse_newick("(a,b,c);")
+
+
+NEWICK_CHARS = "(),; ab1"
+
+
+@st.composite
+def _newick_like(draw):
+    """Text over NEWICK_CHARS: arbitrary, or the Newick text of a tree on
+    such labels with up to three characters inserted, deleted or
+    replaced, so that many strings are trees or nearly trees."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=NEWICK_CHARS, max_size=24))
+    labels = draw(st.lists(st.sampled_from(["a", "b", "1", "ab", "b1", "a b"]),
+                           min_size=1, max_size=4, unique=True))
+    text = to_newick(draw(st.sampled_from(enumerate_trees(labels))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = (text[:i] + draw(st.sampled_from(["", *NEWICK_CHARS]))
+                + text[i + draw(st.integers(0, 1)):])
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_newick_like())
+def test_parse_newick_raises_value_error_or_round_trips(text):
+    try:
+        t = parse_newick(text)
+    except ValueError:
+        return
+    assert parse_newick(to_newick(t)) == t
 
 
 def test_tree_order_pin():

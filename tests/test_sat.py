@@ -333,7 +333,7 @@ def test_heap_invariant_under_a_tiny_rescale_bound(monkeypatch):
 def test_search_counters_on_fixed_cases():
     # (conflicts, decisions, propagations) fingerprint the search itself:
     # a change to the solver's bookkeeping must leave them where they are
-    cnf = _TreeCoverCnf(sorted(full_triplet_set(6)), 4, False)
+    cnf = _TreeCoverCnf(sorted(full_triplet_set(6)), 4)
     assert cnf.next(None) is not None  # tau(6) <= 4
     s = cnf.sat
     assert (s.conflicts, s.decisions, s.propagations) == (11, 30, 591)
@@ -629,7 +629,7 @@ def pi9_gadget():
         5, 3, range(1, 7), [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6),
                             (6, 1, 2), (5, 2, 1)])),
      "f72e6ddbdc73f612c42ec16199cb1e46fc32ea54e535e4da387a154f796921f1"),
-    (lambda: _TreeCoverCnf(sorted(full_triplet_set(6)), 4, False),
+    (lambda: _TreeCoverCnf(sorted(full_triplet_set(6)), 4),
      "893fb64ac826a12eb75a90314010a2d407a7d1795d87b76ee1ee31f4b24717c6"),
 ], ids=["pi9-gadget", "1pi5-to-2pi9", "k3", "tau6-le-4"])
 def test_encoders_emit_the_recorded_clauses(build, digest):
@@ -811,14 +811,13 @@ def encoder_pairs(kind):
                            make_instance(9, k, vars_, a),
                            make_instance(9, k, vars_, b))
             else:
-                caterpillars = kind == "caterpillar"
                 yield (_TreeCoverCnf,
-                       lambda trips: _TreeCoverCnf(trips, k, caterpillars),
+                       lambda trips: _TreeCoverCnf(trips, k),
                        tree_question(range(1, n + 1), rng),
                        tree_question(range(10, 10 + n), rng))
 
 
-@pytest.mark.parametrize("kind", ["tree", "caterpillar", "order"])
+@pytest.mark.parametrize("kind", ["tree", "order"])
 def test_warm_template_gives_the_cold_solver(monkeypatch, kind):
     """A question's solver is the same whether its shape's record was
     just built (cold) or kept from an earlier question (warm), and equals
