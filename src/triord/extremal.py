@@ -102,8 +102,8 @@ def tau_cnf(n: int, k: int, caterpillar_mode: bool = False) -> _SlotCnf:
     cnf = _PairOrderCnf(make_instance(1, k, labels, [
         (c, a, b) for c in labels for a, b in combinations(labels, 2)
         if c not in (a, b)]))
-    for p in range(len(cnf.pairs)):
-        cnf.sat.add_clause([1 + p * k])  # slot 0: i before j for i < j
+    for lit in cnf._shown(ordering(*labels)):  # slot 0 is 1 < 2 < ... < n
+        cnf.sat.add_clause([lit])
     return cnf
 
 
