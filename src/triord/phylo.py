@@ -5,9 +5,9 @@ Trees are immutable and canonical: the underlying shape is a nested tuple
 ordered by their smallest leaf label.  Equality, hashing and serialization
 all go through this canonical form, which is equivalent to comparing the
 sorted cluster sets.  A caterpillar's shape is as deep as its leaf count,
-so every walk over a shape goes through ``_subtrees``, an explicit-stack
-listing of its subtrees, or reads ``RootedTree.clusters``; only
-``_insertions`` (at most 8 labels) recurses.
+so every walk over a shape, tree equality and order included, goes through
+``_subtrees``, an explicit-stack listing of its subtrees, or reads
+``RootedTree.clusters``; only ``_insertions`` (at most 8 labels) recurses.
 
 A rooted triplet ``ab|c`` is the 3-leaf tree with cherry {a, b} below the
 witness c; it is stored canonically as ``(a, b, c)`` with a < b.  Tree ``T``
@@ -24,7 +24,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from heapq import heapify, heappop, heappush
+from itertools import combinations, count, permutations
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -97,7 +98,13 @@ class RootedTree:
         raise AttributeError("RootedTree is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, RootedTree) and self.shape == other.shape
+        # == on nested shapes recurses, so compare postorder listings, in
+        # which () marks an internal node (labels are never tuples)
+        if not isinstance(other, RootedTree) or self._hash != other._hash:
+            return False
+        a, b = ([() if isinstance(s, tuple) else s for s in _subtrees(t.shape)]
+                for t in (self, other))
+        return a == b
 
     def __hash__(self):
         return self._hash
@@ -106,11 +113,10 @@ class RootedTree:
         return f"RootedTree({to_newick(self)})"
 
     def sort_key(self):
-        keys = []  # left child's key on top
-        for s in _subtrees(self.shape):
-            keys.append((1, keys.pop(), keys.pop()) if isinstance(s, tuple)
-                        else (0, var_key(s)))
-        return keys[0]
+        # preorder, left child first: (1,) per inner node, (0, key) per
+        # leaf; prefix-free, so it orders as the nested (1, left, right) key
+        return tuple((1,) if isinstance(s, tuple) else (0, var_key(s))
+                     for s in reversed(_subtrees(self.shape)))
 
 
 def leaf(label) -> RootedTree:
@@ -237,15 +243,9 @@ def _insertions(shape, x):
 def enumerate_caterpillars(labels: Iterable) -> list[RootedTree]:
     """All caterpillars on the labels (n!/2 of them for n >= 2)."""
     labels = sorted(set(labels), key=var_key)
-    seen = set()
-    out = []
-    for p in permutations(labels):
-        if var_key(p[0]) < var_key(p[1]):  # cherry pair order is immaterial
-            t = caterpillar_of(p)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-    return sorted(out, key=RootedTree.sort_key)
+    # the cherry pair's order is immaterial, so each caterpillar comes once
+    return sorted((caterpillar_of(p) for p in permutations(labels)
+                   if var_key(p[0]) < var_key(p[1])), key=RootedTree.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +339,7 @@ class Digraph:
 def triplet_digraph(triplets: Iterable[Triplet]) -> Digraph:
     """Vertex per label; arcs from each witness to its cherry pair."""
     triplets = frozenset(triplets)
-    arcs = {(c, a) for a, b, c in triplets} | {(c, b) for a, b, c in triplets}
+    arcs = {(c, x) for a, b, c in triplets for x in (a, b)}
     return Digraph(triplet_labels(triplets), arcs)
 
 
@@ -348,25 +348,23 @@ def is_acyclic(d: Digraph) -> bool:
 
 
 def _topological_order(d: Digraph) -> Optional[list]:
-    indeg = {v: 0 for v in d.vertices}
-    for _, v in d.arcs:
-        indeg[v] += 1
+    # Kahn's order, smallest ready var_key first; the counter breaks ties
+    indeg = dict.fromkeys(d.vertices, 0)
     succ: dict = {v: [] for v in d.vertices}
     for u, v in d.arcs:
+        indeg[v] += 1
         succ[u].append(v)
-    ready = sorted((v for v, deg in indeg.items() if deg == 0), key=var_key)
+    tick = count()
+    ready = [(var_key(v), next(tick), v) for v in d.vertices if not indeg[v]]
+    heapify(ready)
     order = []
     while ready:
-        u = ready.pop(0)
+        u = heappop(ready)[2]
         order.append(u)
-        inserted = False
-        for v in sorted(succ[u], key=var_key):
+        for v in succ[u]:
             indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-                inserted = True
-        if inserted:
-            ready.sort(key=var_key)
+            if not indeg[v]:
+                heappush(ready, (var_key(v), next(tick), v))
     return order if len(order) == len(d.vertices) else None
 
 
@@ -384,8 +382,8 @@ def caterpillar_compatible(triplets: Iterable[Triplet],
         raise ValueError("triplet labels outside label universe")
     if len(labels) < 2:
         raise ValueError("need at least 2 labels")
-    d = Digraph(labels, triplet_digraph(triplets).arcs)
-    order = _topological_order(d)
+    order = _topological_order(
+        Digraph(labels, {(c, x) for a, b, c in triplets for x in (a, b)}))
     if order is None:
         return None
     cat = caterpillar_of(order[::-1])

@@ -6,7 +6,7 @@ from itertools import (
     combinations, combinations_with_replacement, permutations, product,
 )
 import hashlib
-from math import comb
+from math import comb, factorial
 import random
 
 import pytest
@@ -185,9 +185,13 @@ def test_enumerate_trees_counts():
         enumerate_trees(range(9))
 
 
-def test_enumerate_caterpillars():
-    cats = enumerate_caterpillars(range(4))
-    assert len(cats) == 12  # n!/2
+@pytest.mark.parametrize("n", range(2, 7))
+def test_enumerate_caterpillars(n):
+    # n!/2 members, pairwise distinct: the cherry-order filter alone
+    # yields each caterpillar once
+    cats = enumerate_caterpillars(range(n))
+    assert len(cats) == factorial(n) // 2
+    assert len(set(cats)) == len(cats)
     assert all(is_caterpillar(c) for c in cats)
 
 
@@ -298,6 +302,54 @@ def test_caterpillar_compatible_checks_its_witness(monkeypatch):
                         lambda seq: caterpillar_of(seq[::-1]))
     with pytest.raises(RuntimeError):
         caterpillar_compatible([triplet(0, 1, 2)])
+
+
+def topological_order_by_resorting(d):
+    """Kahn's loop as it was written first: the ready list re-sorted by
+    var_key after every pop that readies a vertex."""
+    indeg = {v: 0 for v in d.vertices}
+    for _, v in d.arcs:
+        indeg[v] += 1
+    succ = {v: [] for v in d.vertices}
+    for u, v in d.arcs:
+        succ[u].append(v)
+    ready = sorted((v for v, deg in indeg.items() if deg == 0), key=var_key)
+    order = []
+    while ready:
+        u = ready.pop(0)
+        order.append(u)
+        inserted = False
+        for v in sorted(succ[u], key=var_key):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+                inserted = True
+        if inserted:
+            ready.sort(key=var_key)
+    return order if len(order) == len(d.vertices) else None
+
+
+def test_heap_order_matches_the_resorting_loop():
+    # random digraphs over mixed int and str labels: arcs forward along a
+    # shuffled order (acyclic), in a fifth of them one more random arc
+    # (71 cycles in all); then the witness digraph of 1,200 disjoint triplets
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        labels = [rng.choice((i, f"v{i}", str(i))) for i in range(n)]
+        rng.shuffle(labels)
+        arcs = {(u, v) for u, v in combinations(labels, 2)
+                if rng.random() < 0.3}
+        if n > 1 and rng.random() < 0.2:
+            arcs.add(tuple(rng.sample(labels, 2)))
+        d = Digraph(labels, arcs)
+        assert phylo._topological_order(d) == \
+            topological_order_by_resorting(d), d
+    d = triplet_digraph(triplet(f"a{i}", f"b{i}", f"c{i}")
+                        for i in range(1200))
+    assert len(d.vertices) == 3600
+    order = phylo._topological_order(d)
+    assert order is not None and order == topological_order_by_resorting(d)
 
 
 def test_caterpillar_compatible_equivalences():
@@ -643,8 +695,8 @@ def test_tree_order_pin():
 
 def test_deep_caterpillar_walks():
     # a caterpillar's shape is as deep as its leaf count, far past the
-    # recursion limit here; == on such nested tuples itself recurses, so
-    # the trees are compared by their Newick text
+    # recursion limit here; the trees are compared by their Newick text,
+    # so to_newick and parse_newick are checked on deep shapes too
     rng = random.Random(3)
     seq = rng.sample(range(3000), 3000)
     seq[:2] = sorted(seq[:2])  # the cherry reads smaller label first
@@ -657,6 +709,18 @@ def test_deep_caterpillar_walks():
     text = to_newick(cat)
     del cat  # one deep tree at a time: each holds O(n^2) cluster entries
     assert to_newick(parse_newick(text)) == text
+
+
+def test_deep_trees_compare_and_sort():
+    # 3,000-leaf caterpillars, built apart so that no subtree is shared:
+    # ==, a set and sorted all compare flat listings, never nested shapes
+    a, b = caterpillar_of(range(3000)), caterpillar_of(list(range(3000)))
+    assert a.shape is not b.shape
+    assert a == b and len({a, b}) == 1
+    del b  # one pair at a time: each holds O(n^2) cluster entries
+    c = caterpillar_of([*range(2998), 2999, 2998])  # top two leaves swapped
+    assert a != c
+    assert sorted([c, a], key=RootedTree.sort_key) == [a, c]
 
 
 def test_triplet_file_round_trip():
