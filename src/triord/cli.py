@@ -6,10 +6,11 @@ it (``schema`` 1, ``command``, ``input_sha256``, ``result``,
 ``wall_time_s``) and picks the exit code.  A subcommand only fills
 ``result`` and returns its answer: True for a positive mathematical
 answer (satisfiable / unique / compatible / decided value, exit 0),
-False for a negative one (exit 1), None for unknown (exit 2).  Its
-answer fields read None until the search is done, so when a
+False for a negative one (exit 1), None for unknown (exit 2).  When a
 ``--node-limit`` budget runs out (``BudgetExceeded``, caught in
-``main``) the report keeps every ``result`` key with the answer None.
+``main``), ``result`` keeps the keys set before the search, the answer
+None: all of them for ``compat`` and ``tau``; the sizes or the gadget
+for ``solve`` and ``gadget-verify``, without their witness keys.
 Timings and search counts (``tau``'s ``conflicts``) never influence the
 exit code.
 
@@ -45,7 +46,7 @@ from .phylo import (
     parse_triplets, to_dot, to_newick, two_dicolorable,
 )
 from .reductions import REDUCTIONS
-from .solver import BudgetExceeded, SolverConfig, enumerate_solutions, solve
+from .solver import BudgetExceeded, enumerate_solutions, solve
 
 EXIT = {True: 0, False: 1, None: 2}  # answer -> exit code
 
@@ -126,13 +127,12 @@ def _cmd_solve(args, report) -> Optional[bool]:
     inst = _parse(report, args.file, parse_instance)
     result = report["result"]
     result.update(_FORMATS["ordering"].sizes(inst), satisfiable=None)
-    cfg = SolverConfig(mode=args.mode, node_limit=args.node_limit)
     if args.enumerate:
-        sols = enumerate_solutions(inst, cfg)
+        sols = enumerate_solutions(inst, args.node_limit)
         result.update(satisfiable=bool(sols), solution_count=len(sols),
                       solutions=[s.to_lists() for s in sols])
         return bool(sols)
-    sol = solve(inst, cfg)
+    sol = solve(inst, args.node_limit)
     result.update(satisfiable=sol is not None,
                   solution=sol.to_lists() if sol else None)
     return sol is not None
@@ -251,11 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--enumerate", action="store_true",
                    help="list every solution multiset")
-    p.add_argument("--mode", choices=("cdcl", "exhaustive"), default="cdcl",
-                   help="cdcl: the CDCL solver over the pair-order CNF; "
-                   "exhaustive: scan every multiset of k orderings")
     node_limit(p, "CDCL conflicts, summed over the enumeration with "
-               "--enumerate; search nodes with --mode exhaustive")
+               "--enumerate")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="apply a registered reduction")

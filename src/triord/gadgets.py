@@ -33,7 +33,7 @@ from .phylo import (
     RootedTree, _TreeCoverCnf, caterpillar_of, cherries, displayed_triplets,
     enumerate_trees, ordering_of, to_newick,
 )
-from .solver import Solution, SolverConfig, enumerate_solutions
+from .solver import Solution, enumerate_solutions
 
 SYMMETRY_KINDS = ("none", "per_order_reversal")
 
@@ -112,7 +112,7 @@ def verify_uniqueness(generators: list[LinearOrdering], pi, k: int,
     """Enumerate all solutions of the gadget instance and compare with the
     generator multiset modulo the given symmetry."""
     inst = gadget_instance(generators, pi, k)
-    found = enumerate_solutions(inst, SolverConfig(node_limit=node_limit))
+    found = enumerate_solutions(inst, node_limit)
     expected = {sym.canonical(Solution(generators))}
     return GadgetReport(
         found=tuple(found),

@@ -282,8 +282,7 @@ def _parse_name(tok: str) -> Var:
 
 
 def parse_instance(text: str) -> Instance:
-    pi_index = None
-    k = 1
+    header: dict[str, int] = {}  # the one `pi` and `k` line each
     vars_: list[Var] = []
     constraints: list[Triple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -292,10 +291,12 @@ def parse_instance(text: str) -> Instance:
             continue
         toks = line.split()
         try:
-            if toks[0] == "pi":
-                pi_index = int(toks[1])
-            elif toks[0] == "k":
-                k = int(toks[1])
+            if toks[0] in ("pi", "k"):
+                if toks[0] in header:
+                    raise ValueError(f"second `{toks[0]}` line")
+                if len(toks) != 2:
+                    raise ValueError(f"`{toks[0]}` needs exactly one value")
+                header[toks[0]] = int(toks[1])
             elif toks[0] == "vars":
                 vars_.extend(_parse_name(t) for t in toks[1:])
             elif toks[0] == "c":
@@ -306,9 +307,9 @@ def parse_instance(text: str) -> Instance:
                 raise ValueError(f"unknown directive {toks[0]!r}")
         except (IndexError, ValueError) as e:
             raise ValueError(f"line {lineno}: {e}") from None
-    if pi_index is None:
+    if "pi" not in header:
         raise ValueError("missing `pi` line")
-    return make_instance(pi_index, k, vars_, constraints)
+    return make_instance(header["pi"], header.get("k", 1), vars_, constraints)
 
 
 def format_instance(inst: Instance) -> str:

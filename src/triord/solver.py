@@ -9,25 +9,24 @@
   solutions SAT solvers", ACM JEA 2016): after each model it blocks every
   slot arrangement of the found multiset and solves again, until the
   formula is unsatisfiable.
-- ``mode="cdcl"`` (the default) runs the two above.  ``_SlotCnf`` is
-  the part of the pair-order CNF that ``phylo._TreeCoverCnf`` shares:
-  variable layout, budgeted solve, blocking, enumeration and DIMACS
-  export.
-- ``mode="exhaustive"`` answers both questions by scanning all multisets of
-  k full orderings (per-ordering constraint bitmasks, so the inner loop is
-  a word OR); it is the independent oracle for the CDCL engine.
+- ``exhaustive`` answers both questions by scanning all multisets of k
+  full orderings (per-ordering constraint bitmasks, so the inner loop is
+  a word OR).  It is the independent oracle that the tests check the
+  CDCL engine against; no program path calls it.
+- ``_SlotCnf`` is the part of the pair-order CNF that
+  ``phylo._TreeCoverCnf`` shares: variable layout, budgeted solve,
+  blocking, enumeration and DIMACS export.
 
 Solutions are multisets of orderings (size exactly k, the reversal pair
 aside; "at most k" instances are covered because members may repeat), each
 checked against the instance once, before it is returned.  Enumeration
 output is canonical: each multiset sorted lexicographically, the list
 likewise.  ``node_limit`` counts CDCL conflicts, summed over an
-enumeration's solves, and search nodes in exhaustive mode.
+enumeration's solves, and search nodes in ``exhaustive``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Optional
 
@@ -41,17 +40,6 @@ from .orderings import (
 
 class BudgetExceeded(Exception):
     """Search stopped at the node limit; the answer is unknown."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    mode: str = "cdcl"  # or "exhaustive"
-    # CDCL conflicts by default, search nodes in exhaustive mode
-    node_limit: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "cdcl"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 class Solution:
@@ -132,15 +120,19 @@ def _constraint_masks(inst: Instance, perms):
     return masks
 
 
-def _exhaustive(inst: Instance, cfg: SolverConfig, want_all: bool):
-    """Depth first over the index tuples i_1 <= ... <= i_k of ``perms``,
+def exhaustive(inst: Instance, node_limit: Optional[int] = None,
+               want_all: bool = False) -> list[Solution]:
+    """The first satisfying multiset in a list, every one with want_all,
+    or [] when there is none.
+
+    Depth first over the index tuples i_1 <= ... <= i_k of ``perms``,
     smallest first, one search node per index tried in a slot.  The first
     k - 1 slots are an explicit stack; the last is one scan, whose nodes
     are counted together, so that the budget is checked before it."""
     perms = [LinearOrdering(p) for p in permutations(inst.sorted_vars())]
     masks = _constraint_masks(inst, perms)
     full = (1 << len(inst.constraints)) - 1
-    n, k, limit = len(perms), inst.k, cfg.node_limit
+    n, k, limit = len(perms), inst.k, node_limit
     found = []
     nodes = 0
     prefix, accs = [], [0]  # the first slots; the OR of their masks
@@ -345,31 +337,26 @@ def _checked(inst: Instance, sol: Solution) -> Solution:
     return sol
 
 
-def solve(inst: Instance, cfg: SolverConfig = SolverConfig()) -> Optional[Solution]:
+def solve(inst: Instance,
+          node_limit: Optional[int] = None) -> Optional[Solution]:
     """A satisfying Solution, or None (a proof of unsatisfiability).
 
     Raises BudgetExceeded when node_limit is hit before an answer.
     """
-    if cfg.mode == "exhaustive":
-        found = _exhaustive(inst, cfg, want_all=False)
-        return found[0] if found else None
     if inst.pi.index in TRIVIAL_2ORDER and inst.k >= 2:
         return _checked(inst, trivial_pair_solution(
             inst, LinearOrdering(inst.sorted_vars())))
-    return _PairOrderCnf(inst).next(cfg.node_limit)
+    return _PairOrderCnf(inst).next(node_limit)
 
 
 def enumerate_solutions(inst: Instance,
-                        cfg: SolverConfig = SolverConfig()) -> list[Solution]:
+                        node_limit: Optional[int] = None) -> list[Solution]:
     """The complete, canonically ordered list of satisfying multisets.
 
     Raises BudgetExceeded when node_limit is hit before the list is complete.
     """
-    if cfg.mode == "exhaustive":
-        found = _exhaustive(inst, cfg, want_all=True)
-    else:
-        found = list(_PairOrderCnf(inst).answers(cfg.node_limit))
-    return sorted(found, key=Solution.sort_key)
+    return sorted(_PairOrderCnf(inst).answers(node_limit),
+                  key=Solution.sort_key)
 
 
 def trivial_pair_solution(inst: Instance, alpha: LinearOrdering) -> Solution:

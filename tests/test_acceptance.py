@@ -34,11 +34,8 @@ from triord.reductions import (
     REDUCTIONS, lift_2cat_backward, lift_2cat_forward,
 )
 from triord.solver import (
-    Solution, SolverConfig, check_solution, solve, trivial_pair_solution,
+    Solution, check_solution, exhaustive, solve, trivial_pair_solution,
 )
-
-CDCL = SolverConfig()
-EXH = SolverConfig(mode="exhaustive")
 
 
 @pytest.fixture
@@ -214,16 +211,16 @@ def test_criterion_07_reduction_equisatisfiability(report):
         for name, pi_index, k in ordering_reductions:
             red = REDUCTIONS[name]
             for src in _all_sources(pi_index, k):
-                src_sat = solve(src, EXH) is not None
+                src_sat = bool(exhaustive(src))
                 tgt = red.transform(src)
-                tgt_sol = solve(tgt, CDCL)
+                tgt_sol = solve(tgt)
                 assert (tgt_sol is not None) == src_sat, (name, src)
                 if src_sat:  # the target's solution lifts back
                     assert check_solution(
                         src, red.lift_backward(src, tgt_sol)), (name, src)
                 if name == "1pi5_to_2pi9" and len(tgt.vars) == 7:
                     # independent full-scan confirmation on 7!^2 pairs
-                    assert (solve(tgt, EXH) is not None) == src_sat
+                    assert bool(exhaustive(tgt)) == src_sat
             # constructive lift soundness on satisfiable sources
             rng = random.Random(71)
             for _ in range(200):

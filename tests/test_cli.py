@@ -66,21 +66,14 @@ def test_solve_unsatisfiable(tmp_path, capsys):
     assert report["result"]["satisfiable"] is False
 
 
-def test_solve_mode_cdcl_and_its_older_name(tmp_path, capsys):
-    inst = gadget_instance(list(PI6_GADGET), 6, 2)
-    f = tmp_path / "gadget_pi6.csp"
-    f.write_text(format_instance(inst))
-    reports = []
-    for mode in ("cdcl", None):
-        flags = ["--mode", mode] if mode else []
-        code, report = run(capsys, "solve", str(f), "--enumerate", *flags)
-        assert code == 0
-        report.pop("wall_time_s")
-        reports.append(report)
-    assert reports[0] == reports[1]
-    with pytest.raises(SystemExit) as e:  # the old alias is not a choice
-        main(["solve", str(f), "--mode", "branch_and_bound"])
-    assert e.value.code == 2
+def test_solve_has_no_mode_flag(tmp_path):
+    # one engine decides; the brute-force oracle is not a CLI path
+    f = tmp_path / "one.csp"
+    f.write_text(format_instance(make_instance(5, 1, [1, 2, 3], [(1, 2, 3)])))
+    for mode in ("cdcl", "exhaustive", "branch_and_bound"):
+        with pytest.raises(SystemExit) as e:
+            main(["solve", str(f), "--mode", mode])
+        assert e.value.code == 2
 
 
 def test_solve_malformed_file(tmp_path, capsys):
@@ -89,6 +82,20 @@ def test_solve_malformed_file(tmp_path, capsys):
     code, report = run(capsys, "solve", str(f))
     assert code == 2
     assert "line 2" in report["error"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("pi 5 9\nc 1 2 3\n", "line 1: `pi` needs exactly one value"),
+    ("pi 5\nk 2 7\n", "line 2: `k` needs exactly one value"),
+    ("pi 5\npi 9\n", "line 2: second `pi` line"),
+    ("pi\n", "line 1: `pi` needs exactly one value"),
+], ids=["pi-two-values", "k-two-values", "second-pi", "bare-pi"])
+def test_solve_malformed_directive(tmp_path, capsys, text, error):
+    f = tmp_path / "bad.csp"
+    f.write_text(text)
+    code, report = run(capsys, "solve", str(f))
+    assert code == 2
+    assert report["error"] == f"{f}: {error}"
 
 
 def test_solve_missing_file(capsys):
@@ -435,7 +442,7 @@ def test_reports_stable_across_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "{csp}", "--node-limit", "-1"],
-    ["solve", "{csp}", "--mode", "exhaustive", "--node-limit", "-1"],
+    ["compat", "{csp}", "--k", "2", "--caterpillar", "--node-limit", "-1"],
     ["solve", "{csp}", "--enumerate", "--node-limit", "-5"],
     ["gadget-verify", "pi5", "--node-limit", "-1"],
     ["tau", "--n", "4", "--node-limit", "-1"],

@@ -232,6 +232,23 @@ def test_parse_errors_and_comments():
         parse_instance("pi 5\nc a b\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("pi 5 9\n", "line 1: `pi` needs exactly one value"),
+    ("pi 5\nk 2 7\n", "line 2: `k` needs exactly one value"),
+    ("pi\nvars a b c\n", "line 1: `pi` needs exactly one value"),
+    ("k\npi 5\n", "line 1: `k` needs exactly one value"),
+    ("pi 5\npi 9\n", "line 2: second `pi` line"),
+    ("pi 5\nk 2\nvars a b c\nk 3\n", "line 4: second `k` line"),
+], ids=["pi-two-values", "k-two-values", "bare-pi", "bare-k", "second-pi",
+        "second-k"])
+def test_parse_directive_lines(text, message):
+    # one value per pi / k line and one line of each: the parser neither
+    # drops a token nor lets a later line override an earlier one
+    with pytest.raises(ValueError) as e:
+        parse_instance(text)
+    assert str(e.value) == message
+
+
 def test_relabel_instance():
     inst = make_instance(5, 1, [1, 2, 3], [(1, 2, 3)])
     out = relabel_instance(inst, {1: "u", 2: "v", 3: "w"})

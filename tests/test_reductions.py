@@ -24,10 +24,7 @@ from triord.reductions import (
     reduce_2cat_to_3tree, reduce_2pi0_to_2pi1, reduce_2pi1_to_2pi6,
     reduce_dichromatic_to_outdeg3, reduce_outdeg3_to_2cat,
 )
-from triord.solver import Solution, SolverConfig, check_solution, solve
-
-CDCL = SolverConfig()
-EXH = SolverConfig(mode="exhaustive")
+from triord.solver import Solution, check_solution, exhaustive, solve
 
 
 def rand_satisfiable(rng, pi_index, k, nv, nc):
@@ -72,8 +69,7 @@ def test_pair_reductions_equisatisfiable_small():
                                   (9, reduce_1pi9_to_2pi4)):
             src = make_instance(pi_index, 1, range(nv), cs)
             tgt = reducer(src)
-            assert (solve(src, EXH) is not None) == \
-                (solve(tgt, EXH) is not None)
+            assert bool(exhaustive(src)) == bool(exhaustive(tgt))
 
 
 def test_pair_reduction_lifts():
@@ -109,8 +105,8 @@ def test_2pi0_to_2pi1_lift_and_decision():
     # variables satisfies exactly one of the three cyclic constraints
     cs = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     src = make_instance(0, 2, range(3), cs)
-    assert solve(src, EXH) is None
-    assert solve(reduce_2pi0_to_2pi1(src), CDCL) is None
+    assert not exhaustive(src)
+    assert solve(reduce_2pi0_to_2pi1(src)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Solver tests: soundness, completeness against exhaustive search, and the
 documented example instances."""
 
+from collections import Counter
 from itertools import combinations, permutations
 from math import factorial
 import random
@@ -8,20 +9,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triord import solver
+from triord import _sat, solver
 from triord.orderings import (
     LinearOrdering, implied_constraints, make_instance, ordering, pi_family,
     reversal, satisfies,
 )
 from triord.solver import (
-    BudgetExceeded, Solution, SolverConfig, check_solution,
-    enumerate_solutions, solve, trivial_pair_solution,
+    BudgetExceeded, Solution, check_solution, enumerate_solutions,
+    exhaustive, solve, trivial_pair_solution,
 )
 from triord.gadgets import builtin_gadget, gadget_instance
 
-CDCL = SolverConfig()
-EXH = SolverConfig(mode="exhaustive")
-EXH_ALL = SolverConfig(mode="exhaustive")
+
+def exhaustive_all(inst):
+    """Every solution by the brute-force oracle, canonically ordered as
+    enumerate_solutions orders them."""
+    return sorted(exhaustive(inst, want_all=True), key=Solution.sort_key)
 
 
 def test_check_solution_examples():
@@ -76,25 +79,25 @@ def test_check_solution_matches_the_definition(pi, data):
 
 def test_solve_examples():
     sat = make_instance(0, 1, "abc", [("a", "b", "c")])
-    sol = solve(sat, CDCL)
+    sol = solve(sat)
     assert sol is not None and check_solution(sat, sol)
 
     unsat = make_instance(0, 1, "abc", [("a", "b", "c"), ("c", "b", "a")])
-    assert solve(unsat, CDCL) is None
-    assert solve(unsat, EXH) is None
+    assert solve(unsat) is None
+    assert exhaustive(unsat) == []
 
 
 def test_enumerate_unconstrained():
     for m in (2, 3, 4):
         inst = make_instance(0, 1, range(m), [])
-        assert len(enumerate_solutions(inst, EXH_ALL)) == factorial(m)
+        assert len(exhaustive_all(inst)) == factorial(m)
 
 
 def test_enumerate_k2_multisets_unconstrained():
     # multisets of size 2 over m! orderings
     inst = make_instance(0, 2, range(3), [])
     n = factorial(3)
-    assert len(enumerate_solutions(inst, CDCL)) == n * (n + 1) // 2
+    assert len(enumerate_solutions(inst)) == n * (n + 1) // 2
 
 
 def _random_instances(rng, count, pi_choices, max_v=4, max_c=3, max_k=2):
@@ -110,10 +113,10 @@ def _random_instances(rng, count, pi_choices, max_v=4, max_c=3, max_k=2):
 def test_bnb_matches_exhaustive_on_random_instances():
     rng = random.Random(7)
     for inst in _random_instances(rng, 80, list(range(11))):
-        got = enumerate_solutions(inst, CDCL)
-        want = enumerate_solutions(inst, EXH_ALL)
+        got = enumerate_solutions(inst)
+        want = exhaustive_all(inst)
         assert got == want, inst
-        sol = solve(inst, CDCL)
+        sol = solve(inst)
         assert (sol is not None) == bool(want)
         if sol is not None:
             assert check_solution(inst, sol)
@@ -122,22 +125,16 @@ def test_bnb_matches_exhaustive_on_random_instances():
 def test_monotone_in_k():
     rng = random.Random(99)
     for inst in _random_instances(rng, 40, list(range(11)), max_k=1):
-        if solve(inst, CDCL) is not None:
+        if solve(inst) is not None:
             bigger = make_instance(inst.pi.index, inst.k + 1,
                                    inst.vars, inst.constraints)
-            assert solve(bigger, CDCL) is not None
+            assert solve(bigger) is not None
 
 
 def test_node_limit():
     inst = make_instance(0, 2, range(6), [])
-    cfg = SolverConfig(node_limit=50)
     with pytest.raises(BudgetExceeded):
-        enumerate_solutions(inst, cfg)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(mode="magic")
+        enumerate_solutions(inst, node_limit=50)
 
 
 def test_trivial_families_always_satisfiable():
@@ -149,7 +146,7 @@ def test_trivial_families_always_satisfiable():
             inst = make_instance(i, 2, range(m), cs)
             alpha = ordering(*rng.sample(range(m), m))
             assert check_solution(inst, trivial_pair_solution(inst, alpha))
-            assert solve(inst, CDCL) is not None
+            assert solve(inst) is not None
 
 
 @pytest.mark.parametrize("name, conflicts, count", [("pi5", 35, 4),
@@ -158,10 +155,9 @@ def test_enumeration_conflict_budget_on_gadgets(name, conflicts, count):
     # the budget caps conflicts summed over every solve of the enumeration
     gens, fam, k, _ = builtin_gadget(name)
     inst = gadget_instance(list(gens), fam, k)
-    assert len(enumerate_solutions(
-        inst, SolverConfig(node_limit=conflicts))) == count
+    assert len(enumerate_solutions(inst, node_limit=conflicts)) == count
     with pytest.raises(BudgetExceeded):
-        enumerate_solutions(inst, SolverConfig(node_limit=conflicts - 1))
+        enumerate_solutions(inst, node_limit=conflicts - 1)
 
 
 @st.composite
@@ -180,28 +176,19 @@ def _small_instances(draw, pi):
 @given(data=st.data())
 def test_enumeration_matches_exhaustive(pi, data):
     inst = data.draw(_small_instances(pi))
-    assert enumerate_solutions(inst, CDCL) == \
-        enumerate_solutions(inst, EXH_ALL)
+    assert enumerate_solutions(inst) == exhaustive_all(inst)
 
 
 def test_solve_trivial_family_gives_reversal_pair():
     inst = make_instance(7, 2, range(1, 6),
                          [(1, 2, 3), (3, 2, 1), (4, 5, 1), (2, 5, 4)])
-    sol = solve(inst, CDCL)
+    sol = solve(inst)
     a, b = sol.orderings
     assert b == reversal(a) and check_solution(inst, sol)
     # the exhaustive oracle takes no shortcut: it scans, so a budget of
     # one node runs out
     with pytest.raises(BudgetExceeded):
-        solve(inst, SolverConfig(mode="exhaustive", node_limit=1))
-
-
-def test_cdcl_mode_name_and_its_older_alias():
-    assert SolverConfig().mode == "cdcl"
-    # the older name "branch_and_bound" is gone with the search it named
-    for mode in ("branch_and_bound", "bnb"):
-        with pytest.raises(ValueError):
-            SolverConfig(mode=mode)
+        exhaustive(inst, node_limit=1)
 
 
 def test_constraint_masks_follow_satisfies():
@@ -217,7 +204,7 @@ def test_constraint_masks_follow_satisfies():
                     if satisfies(inst.pi, alpha, c)) for alpha in perms]
 
 
-def exhaustive_by_recursion(inst, cfg, want_all):
+def exhaustive_by_recursion(inst, node_limit, want_all):
     """The exhaustive scan as it was written first, one recursive call per
     search node: (solutions, nodes)."""
     perms = [LinearOrdering(p) for p in permutations(inst.sorted_vars())]
@@ -235,7 +222,7 @@ def exhaustive_by_recursion(inst, cfg, want_all):
             return want_all or acc != full
         for i in range(start, n):
             nodes += 1
-            if cfg.node_limit is not None and nodes > cfg.node_limit:
+            if node_limit is not None and nodes > node_limit:
                 raise BudgetExceeded(nodes)
             if not rec(i, chosen + [i], acc | masks[i]):
                 return False
@@ -264,13 +251,40 @@ def test_exhaustive_loop_matches_the_recursion():
                 inst = make_instance(rng.randrange(11), k, range(m), [
                     tuple(rng.sample(range(m), 3)) for _ in range(ncons)])
                 for want_all in (False, True):
-                    _, nodes = exhaustive_by_recursion(inst, EXH, want_all)
+                    _, nodes = exhaustive_by_recursion(inst, None, want_all)
                     for limit in (None, 0, nodes // 2, nodes - 1, nodes):
-                        cfg = SolverConfig(mode="exhaustive", node_limit=limit)
                         ref = outcome(lambda: exhaustive_by_recursion(
-                            inst, cfg, want_all)[0])
-                        got = outcome(solver._exhaustive, inst, cfg, want_all)
+                            inst, limit, want_all)[0])
+                        got = outcome(exhaustive, inst, limit, want_all)
                         assert got == ref, (inst, want_all, limit)
+
+
+def test_exhaustive_oracle_needs_no_cdcl(monkeypatch):
+    # the oracle stays independent of the engine it checks: with the CDCL
+    # core and the pair-order CNF both unusable, it still answers, and
+    # each answer passes the instance check
+    def unusable(*args, **kwargs):
+        raise RuntimeError("the CDCL engine was called")
+
+    monkeypatch.setattr(_sat.Solver, "__init__", unusable)
+    monkeypatch.setattr(solver, "_PairOrderCnf", unusable)
+    for engine in (lambda: _sat.Solver(3),  # the patches bite
+                   lambda: solve(make_instance(0, 1, range(3), [(0, 1, 2)]))):
+        with pytest.raises(RuntimeError):
+            engine()
+    rng = random.Random(30)
+    answered = Counter()
+    for pi in range(11):
+        for k in (1, 2, 3):
+            for m in (3, 4):
+                inst = make_instance(pi, k, range(m), [
+                    tuple(rng.sample(range(m), 3)) for _ in range(2 + 2 * k)])
+                first = exhaustive(inst)
+                every = exhaustive(inst, want_all=True)
+                assert first == every[:1]
+                assert all(check_solution(inst, sol) for sol in every)
+                answered[bool(every)] += 1
+    assert answered[True] and answered[False]
 
 
 def signed(c):
