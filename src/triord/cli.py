@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .extremal import tau, tau_cnf, tau_decision
 from .gadgets import (
-    NO_SYMMETRY, TREE_GADGET, builtin_gadget, verify_tree_uniqueness,
+    TREE_GADGET, builtin_gadget, gadget_symmetry, verify_tree_uniqueness,
     verify_uniqueness,
 )
 from .orderings import format_instance, parse_instance
@@ -160,21 +160,18 @@ def _cmd_reduce(args, report) -> bool:
 def _cmd_gadget_verify(args, report) -> Optional[bool]:
     report["input_sha256"] = _digest(args.name)
     if args.name == "tree-triple":
-        if args.no_symmetry:
-            raise _CliError("--no-symmetry does not apply to tree-triple: "
-                            "its uniqueness is not up to a symmetry")
         triple = tuple(map(caterpillar_of, TREE_GADGET))
-        sym, verify = NO_SYMMETRY, partial(verify_tree_uniqueness, triple)
+        sym, verify = "none", partial(verify_tree_uniqueness, triple)
         gadget = {"trees": _newick(triple),
                   "orderings": [list(o.seq) for o in TREE_GADGET]}
     else:
-        gens, fam, k, sym = builtin_gadget(args.name)
-        sym = NO_SYMMETRY if args.no_symmetry else sym
-        verify = partial(verify_uniqueness, list(gens), fam, k, sym)
+        gens, fam, k = builtin_gadget(args.name)
+        sym = gadget_symmetry(fam)
+        verify = partial(verify_uniqueness, list(gens), fam, k)
         gadget = {"pi": fam.index, "k": k,
                   "generators": [list(g.seq) for g in gens]}
     result = report["result"]
-    result.update(unique=None, symmetry=sym.kind)
+    result.update(unique=None, symmetry=sym)
     try:
         result.update(verify(node_limit=args.node_limit).to_dict())
     finally:  # the gadget follows the answer, in the unknown report too
@@ -263,9 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget-verify",
                        help="re-verify a uniqueness gadget by enumeration")
     p.add_argument("name", choices=("pi5", "pi6", "pi9", "tree-triple"))
-    p.add_argument("--no-symmetry", action="store_true",
-                   help="report raw solutions without quotienting "
-                   "(ordering gadgets only)")
     node_limit(p, "CDCL conflicts, summed over the enumeration")
     p.set_defaults(func=_cmd_gadget_verify)
 

@@ -2,9 +2,10 @@
 
 An ordering gadget is the instance whose constraints are everything implied
 by a fixed tuple of generator orderings; `verify_uniqueness` re-enumerates
-the full solution set and compares it against the generators modulo a
-declared symmetry (per-order reversal for the reversal-closed families,
-or none).
+the full solution set and compares it against the generators up to the
+symmetry its family forces: per-order reversal for the families closed
+under pattern reversal (`orderings.REVERSAL_CLOSED`, Π5 and Π9), whose
+solutions are never unique otherwise, and none for the rest.
 
 The tree gadget `TREE_GADGET` is a triple of 6-leaf caterpillars, stored
 as their deepest-first leaf orders, whose combined displayed triplet set
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from math import factorial
 from typing import Optional
 
 from .orderings import (
-    Instance, LinearOrdering, implied_constraints, pi_family, reversal,
+    REVERSAL_CLOSED, Instance, LinearOrdering, PiFamily, implied_constraints,
+    pi_family, reversal,
 )
 from .phylo import (
     RootedTree, _TreeCoverCnf, caterpillar_of, cherries, displayed_triplets,
@@ -35,42 +37,18 @@ from .phylo import (
 )
 from .solver import Solution, enumerate_solutions
 
-SYMMETRY_KINDS = ("none", "per_order_reversal")
-
-
-@dataclass(frozen=True)
-class SymmetrySpec:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in SYMMETRY_KINDS:
-            raise ValueError(f"unknown symmetry kind {self.kind!r}")
-
-    def canonical_member(self, o: LinearOrdering) -> LinearOrdering:
-        if self.kind == "per_order_reversal":
-            return min(o, reversal(o), key=LinearOrdering.sort_key)
-        return o
-
-    def canonical(self, sol: Solution) -> Solution:
-        return Solution(self.canonical_member(o) for o in sol.orderings)
-
-
-NO_SYMMETRY = SymmetrySpec("none")
-# each member ordering is identified with its reversal
-PER_ORDER_REVERSAL = SymmetrySpec("per_order_reversal")
-
 
 @dataclass(frozen=True)
 class GadgetReport:
     found: tuple
     unique: bool
     raw_ordered_count: int  # solutions counted as ordered tuples
-    symmetry: SymmetrySpec
+    symmetry: str  # "per_order_reversal" or "none"
 
     def to_dict(self) -> dict:
         return {
             "unique": self.unique,
-            "symmetry": self.symmetry.kind,
+            "symmetry": self.symmetry,
             "solution_count": len(self.found),
             "raw_ordered_count": self.raw_ordered_count,
             "solutions": [_payload(s) for s in self.found],
@@ -106,17 +84,23 @@ def _ordered_count(members) -> int:
     return total
 
 
+def gadget_symmetry(pi: PiFamily) -> str:
+    """What an ordering gadget of family pi can be unique up to."""
+    return "per_order_reversal" if pi.index in REVERSAL_CLOSED else "none"
+
+
 def verify_uniqueness(generators: list[LinearOrdering], pi, k: int,
-                      sym: SymmetrySpec = NO_SYMMETRY,
                       node_limit: Optional[int] = None) -> GadgetReport:
-    """Enumerate all solutions of the gadget instance and compare with the
-    generator multiset modulo the given symmetry."""
+    """Enumerate all solutions of the gadget instance; unique iff they are
+    the generator multiset's orbit under the family's `gadget_symmetry`."""
     inst = gadget_instance(generators, pi, k)
     found = enumerate_solutions(inst, node_limit)
-    expected = {sym.canonical(Solution(generators))}
+    sym = gadget_symmetry(inst.pi)
+    members = [(g,) if sym == "none" else (g, reversal(g)) for g in generators]
+    orbit = {Solution(choice) for choice in product(*members)}
     return GadgetReport(
         found=tuple(found),
-        unique={sym.canonical(s) for s in found} == expected,
+        unique=set(found) == orbit,
         raw_ordered_count=sum(_ordered_count(s.orderings) for s in found),
         symmetry=sym,
     )
@@ -135,11 +119,11 @@ TREE_GADGET = (LinearOrdering((0, 1, 2, 3, 4, 5)),
 
 
 def builtin_gadget(name: str):
-    """(generators, family, k, symmetry) for a named ordering gadget."""
+    """(generators, family, k) for a named ordering gadget."""
     table = {
-        "pi5": (PI5_GADGET, pi_family(5), 2, PER_ORDER_REVERSAL),
-        "pi6": (PI6_GADGET, pi_family(6), 2, NO_SYMMETRY),
-        "pi9": (PI9_GADGET, pi_family(9), 2, PER_ORDER_REVERSAL),
+        "pi5": (PI5_GADGET, pi_family(5), 2),
+        "pi6": (PI6_GADGET, pi_family(6), 2),
+        "pi9": (PI9_GADGET, pi_family(9), 2),
     }
     if name not in table:
         raise ValueError(f"unknown gadget {name!r}")
@@ -178,7 +162,7 @@ def verify_tree_uniqueness(triple: tuple[RootedTree, RootedTree, RootedTree],
         found=tuple(sorted(covers, key=lambda c: [t.sort_key() for t in c])),
         unique=covers == {tuple(sorted(triple, key=RootedTree.sort_key))},
         raw_ordered_count=sum(_ordered_count(c) for c in covers),
-        symmetry=NO_SYMMETRY,
+        symmetry="none",
     )
 
 

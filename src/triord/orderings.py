@@ -75,9 +75,18 @@ _CODE_TABLE: dict[int, tuple[int, tuple[tuple[int, int, int], ...]]] = {
     for i, perms in _PI_TABLE.items()
 }
 
-#: Family indices whose 2-order decision problem is trivially satisfiable
-#: by {alpha, reversal(alpha)} for any alpha.
-TRIVIAL_2ORDER = frozenset({2, 3, 7, 8, 10})
+#: Per family, rev(Π): the patterns reversal(alpha) matches where alpha
+#: matches one of Π.
+_REVERSED = {i: frozenset(p[::-1] for p in perms)
+             for i, perms in _PI_TABLE.items()}
+#: rev(Π) = Π (Π5, Π9): reversing any order keeps every verdict, so such a
+#: family's gadgets are unique only up to reversing each order.
+REVERSAL_CLOSED = frozenset(i for i, r in _REVERSED.items()
+                            if r == _PI_TABLE[i])
+#: Π ∪ rev(Π) = S3 (Π2, Π3, Π7, Π8, Π10): every 2-order instance is
+#: satisfied by {alpha, reversal(alpha)} for any alpha.
+TRIVIAL_2ORDER = frozenset(i for i, r in _REVERSED.items()
+                           if r | _PI_TABLE[i] == _S3)
 
 
 def var_key(v: Var):
@@ -226,6 +235,14 @@ def implied_constraints(alpha: LinearOrdering, pi: PiFamily) -> frozenset[Triple
     return frozenset(out)
 
 
+def _check_constraint(c: Triple, vars_) -> None:
+    if len(set(c)) != 3:
+        raise ValueError(f"constraint variables not distinct: {c}")
+    for v in c:
+        if v not in vars_:
+            raise ValueError(f"constraint uses unknown variable: {v!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A k-order decision instance: does a multiset of at most k linear
@@ -240,18 +257,10 @@ class Instance:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        seen = set()
-        deduped = []
         for c in self.constraints:
-            if len(set(c)) != 3:
-                raise ValueError(f"constraint variables not distinct: {c}")
-            for v in c:
-                if v not in self.vars:
-                    raise ValueError(f"constraint uses unknown variable: {v!r}")
-            if c not in seen:
-                seen.add(c)
-                deduped.append(c)
-        object.__setattr__(self, "constraints", tuple(deduped))
+            _check_constraint(c, self.vars)
+        object.__setattr__(self, "constraints",
+                           tuple(dict.fromkeys(self.constraints)))
         object.__setattr__(self, "vars", frozenset(self.vars))
 
     def sorted_vars(self) -> list:
@@ -282,34 +291,45 @@ def _parse_name(tok: str) -> Var:
 
 
 def parse_instance(text: str) -> Instance:
+    """The instance a text describes; a ValueError names the line at fault."""
     header: dict[str, int] = {}  # the one `pi` and `k` line each
-    vars_: list[Var] = []
-    constraints: list[Triple] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        try:
+    vars_: dict[Var, None] = {}  # the listed names, in order
+    constraints: list[tuple[int, Triple]] = []  # with their line numbers
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            toks = line.split()
             if toks[0] in ("pi", "k"):
                 if toks[0] in header:
                     raise ValueError(f"second `{toks[0]}` line")
                 if len(toks) != 2:
                     raise ValueError(f"`{toks[0]}` needs exactly one value")
-                header[toks[0]] = int(toks[1])
+                header[toks[0]] = value = int(toks[1])
+                if toks[0] == "pi":
+                    pi_family(value)
+                elif value < 1:
+                    raise ValueError("k must be >= 1")
             elif toks[0] == "vars":
-                vars_.extend(_parse_name(t) for t in toks[1:])
+                for v in map(_parse_name, toks[1:]):
+                    if v in vars_:
+                        raise ValueError(f"repeated variable: {v!r}")
+                    vars_[v] = None
             elif toks[0] == "c":
                 if len(toks) != 4:
                     raise ValueError("constraint line needs 3 variables")
-                constraints.append(tuple(_parse_name(t) for t in toks[1:]))
+                constraints.append((lineno, tuple(map(_parse_name, toks[1:]))))
             else:
                 raise ValueError(f"unknown directive {toks[0]!r}")
-        except (IndexError, ValueError) as e:
-            raise ValueError(f"line {lineno}: {e}") from None
+        for lineno, c in constraints:  # once every `vars` line is read
+            _check_constraint(c, vars_)
+    except (IndexError, ValueError) as e:
+        raise ValueError(f"line {lineno}: {e}") from None
     if "pi" not in header:
         raise ValueError("missing `pi` line")
-    return make_instance(header["pi"], header.get("k", 1), vars_, constraints)
+    return make_instance(header["pi"], header.get("k", 1), vars_,
+                         (c for _, c in constraints))
 
 
 def format_instance(inst: Instance) -> str:

@@ -20,9 +20,8 @@ from triord.extremal import (
     log_upper_bound, rootings_of, tau, unroot,
 )
 from triord.gadgets import (
-    NO_SYMMETRY, PER_ORDER_REVERSAL, PI5_GADGET, PI6_GADGET, PI9_GADGET,
-    derive_caterpillar_triple, gadget_triplet_union, verify_tree_uniqueness,
-    verify_uniqueness,
+    PI5_GADGET, PI6_GADGET, PI9_GADGET, derive_caterpillar_triple,
+    gadget_triplet_union, verify_tree_uniqueness, verify_uniqueness,
 )
 from triord.orderings import LinearOrdering, make_instance, ordering
 from triord.phylo import (
@@ -60,17 +59,17 @@ def report(capfd):
 
 def test_criterion_01_ordering_gadgets(report):
     with report(1, "ordering gadget uniqueness"):
-        r5 = verify_uniqueness(list(PI5_GADGET), 5, 2, PER_ORDER_REVERSAL)
-        assert r5.unique
+        r5 = verify_uniqueness(list(PI5_GADGET), 5, 2)
+        assert r5.unique and r5.symmetry == "per_order_reversal"
         assert len(r5.found) == 4  # the reversal closure of the generators
         assert r5.raw_ordered_count == 8
 
-        r6 = verify_uniqueness(list(PI6_GADGET), 6, 2, NO_SYMMETRY)
-        assert r6.unique
+        r6 = verify_uniqueness(list(PI6_GADGET), 6, 2)
+        assert r6.unique and r6.symmetry == "none"
         assert len(r6.found) == 1
 
-        r9 = verify_uniqueness(list(PI9_GADGET), 9, 2, PER_ORDER_REVERSAL)
-        assert r9.unique
+        r9 = verify_uniqueness(list(PI9_GADGET), 9, 2)
+        assert r9.unique and r9.symmetry == "per_order_reversal"
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,9 @@ def test_solve_malformed_file(tmp_path, capsys):
     ("pi 5\nk 2 7\n", "line 2: `k` needs exactly one value"),
     ("pi 5\npi 9\n", "line 2: second `pi` line"),
     ("pi\n", "line 1: `pi` needs exactly one value"),
-], ids=["pi-two-values", "k-two-values", "second-pi", "bare-pi"])
+    ("pi 0\nc 1 2 3\nc 3 2 1\n",
+     "line 2: constraint uses unknown variable: 1"),
+], ids=["pi-two-values", "k-two-values", "second-pi", "bare-pi", "no-vars"])
 def test_solve_malformed_directive(tmp_path, capsys, text, error):
     f = tmp_path / "bad.csp"
     f.write_text(text)
@@ -207,9 +209,15 @@ def test_gadget_verify_pi5(capsys):
 
 
 def test_gadget_verify_pi5_no_symmetry(capsys):
-    code, report = run(capsys, "gadget-verify", "pi5", "--no-symmetry")
-    assert code == 1  # four raw solutions, so not unique without the quotient
-    assert report["result"]["solution_count"] == 4
+    # the symmetry follows from the family, so no switch turns it off;
+    # `--no-sym` abbreviated the switch while there was one
+    for flag in ("--no-symmetry", "--no-sym"):
+        with pytest.raises(SystemExit) as e:
+            main(["gadget-verify", "pi5", flag])
+        assert e.value.code == 2
+    code, report = run(capsys, "gadget-verify", "pi5")
+    assert code == 0 and report["result"]["unique"] is True
+    assert report["result"]["symmetry"] == "per_order_reversal"
 
 
 def test_gadget_verify_pi6(capsys):
@@ -242,12 +250,11 @@ def test_gadget_verify_tree_triple_reports_newick(capsys):
         {parse_newick(s) for s in report["result"]["trees"]}
 
 
-def test_gadget_verify_tree_triple_rejects_no_symmetry(capsys):
-    code, report = run(capsys, "gadget-verify", "tree-triple",
-                       "--no-symmetry")
-    assert code == 2
-    assert "--no-symmetry" in report["error"]
-    assert "result" not in report
+def test_gadget_verify_tree_triple_rejects_no_symmetry():
+    # rejected at argument parsing, as for every gadget
+    with pytest.raises(SystemExit) as e:
+        main(["gadget-verify", "tree-triple", "--no-symmetry"])
+    assert e.value.code == 2
 
 
 # ---------------------------------------------------------------------------

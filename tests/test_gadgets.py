@@ -4,17 +4,17 @@ The heavyweight checks (the 7-element betweenness-complement gadget and the
 full tree-triple sweep) live in the acceptance suite; here we exercise the
 machinery on the small gadgets and pin the derived caterpillar triple."""
 
+from itertools import permutations
 from math import comb
 
 import pytest
 
 from triord.gadgets import (
-    NO_SYMMETRY, PER_ORDER_REVERSAL, PI5_GADGET, PI6_GADGET, PI9_GADGET,
-    SymmetrySpec, builtin_gadget, derive_caterpillar_triple,
-    gadget_instance, gadget_triplet_union, verify_tree_uniqueness,
-    verify_uniqueness,
+    PI5_GADGET, PI6_GADGET, PI9_GADGET, builtin_gadget,
+    derive_caterpillar_triple, gadget_instance, gadget_symmetry,
+    gadget_triplet_union, verify_tree_uniqueness, verify_uniqueness,
 )
-from triord.orderings import LinearOrdering, ordering, pi_family, reversal
+from triord.orderings import ordering, pi_family, reversal, satisfies
 from triord.phylo import caterpillar_of, cherries, parse_newick, to_newick
 from triord.solver import Solution
 
@@ -33,30 +33,36 @@ def test_gadget_instance_counts():
 
 
 def test_symmetry_canonicalization():
-    o = ordering(3, 1, 2)
-    assert NO_SYMMETRY.canonical_member(o) == o
-    assert PER_ORDER_REVERSAL.canonical_member(o) == \
-        PER_ORDER_REVERSAL.canonical_member(reversal(o))
-    with pytest.raises(ValueError):
-        SymmetrySpec("mirror")
+    # a family's gadgets are quotiented by per-order reversal exactly when
+    # reversing an ordering keeps every constraint's verdict, and only
+    # then does a one-order gadget admit its generator's reversal
+    alpha = ordering(3, 1, 2, 4)
+    for i in range(11):
+        pi = pi_family(i)
+        kept = all(satisfies(pi, alpha, c) == satisfies(pi, reversal(alpha), c)
+                   for c in permutations(range(1, 5), 3))
+        report = verify_uniqueness([alpha], pi, 1)
+        assert report.symmetry == gadget_symmetry(pi) == \
+            ("per_order_reversal" if kept else "none"), i
+        assert Solution([alpha]) in report.found
+        assert (Solution([reversal(alpha)]) in report.found) == kept, i
 
 
 def test_pi5_gadget_unique_up_to_reversal():
-    gens, pi, k, sym = builtin_gadget("pi5")
-    report = verify_uniqueness(list(gens), pi, k, sym)
-    assert report.unique
-    # without the quotient: each member may be reversed independently
-    raw = verify_uniqueness(list(gens), pi, k, NO_SYMMETRY)
-    assert not raw.unique
-    assert len(raw.found) == 4
-    assert {sym.canonical(s) for s in raw.found} == \
-        {sym.canonical(Solution(gens))}
+    gens, pi, k = builtin_gadget("pi5")
+    report = verify_uniqueness(list(gens), pi, k)
+    assert report.unique and report.symmetry == "per_order_reversal"
+    # each member may be reversed independently: four raw solutions, one orbit
+    assert len(report.found) == 4
+    g1, g2 = gens
+    assert set(report.found) == {Solution((a, b)) for a in (g1, reversal(g1))
+                                 for b in (g2, reversal(g2))}
 
 
 def test_pi6_gadget_unique_both_readings():
-    gens, pi, k, sym = builtin_gadget("pi6")
-    report = verify_uniqueness(list(gens), pi, k, sym)
-    assert report.unique
+    gens, pi, k = builtin_gadget("pi6")
+    report = verify_uniqueness(list(gens), pi, k)
+    assert report.unique and report.symmetry == "none"
     assert len(report.found) == 1  # unique already as an unordered multiset
     assert report.raw_ordered_count == 2  # and two ordered readings of it
 
@@ -64,7 +70,7 @@ def test_pi6_gadget_unique_both_readings():
 def test_pi9_gadget_satisfiable():
     # full enumeration of this one is an acceptance-level check; here we
     # only confirm the generators solve their own implied instance
-    gens, pi, k, _ = builtin_gadget("pi9")
+    gens, pi, k = builtin_gadget("pi9")
     inst = gadget_instance(list(gens), pi, k)
     assert Solution(gens).orderings[0].domain() == set(inst.vars)
     from triord.solver import check_solution

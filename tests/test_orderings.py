@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from triord.orderings import (
-    LinearOrdering, TRIVIAL_2ORDER, concat, format_instance,
+    REVERSAL_CLOSED, LinearOrdering, TRIVIAL_2ORDER, concat, format_instance,
     implied_constraints, make_instance, ordering, parse_instance,
     pattern_matches, pi_family, relabel_instance, restrict, reversal,
     satisfies,
@@ -178,6 +178,12 @@ def test_reversal_closure_pi5_pi9():
                     assert satisfies(pi, alpha, c) == satisfies(pi, rev, c)
 
 
+def test_reversal_classes_are_the_papers_lists():
+    # both sets are computed from pattern reversal; the paper lists them
+    assert TRIVIAL_2ORDER == {2, 3, 7, 8, 10}
+    assert REVERSAL_CLOSED == {5, 9}
+
+
 def test_trivial_families_alpha_or_reversal():
     for n in (3, 4, 5):
         for alpha in all_orderings(range(n)):
@@ -230,6 +236,10 @@ def test_parse_errors_and_comments():
         parse_instance("k 2\nvars a b c\n")  # no pi line
     with pytest.raises(ValueError):
         parse_instance("pi 5\nc a b\n")
+    # a `vars` line may follow the constraints that use its names
+    inst = parse_instance("pi 5\nc a b c\nvars c b a\n")
+    assert inst.vars == {"a", "b", "c"}
+    assert inst.constraints == (("a", "b", "c"),)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -239,11 +249,21 @@ def test_parse_errors_and_comments():
     ("k\npi 5\n", "line 1: `k` needs exactly one value"),
     ("pi 5\npi 9\n", "line 2: second `pi` line"),
     ("pi 5\nk 2\nvars a b c\nk 3\n", "line 4: second `k` line"),
+    ("pi 11\nvars a b c\n", "line 1: pattern family index out of range: 11"),
+    ("pi 5\nk 0\n", "line 2: k must be >= 1"),
+    ("pi 5\nvars 1 2\nc 1 2 3\nvars 4\n",
+     "line 3: constraint uses unknown variable: 3"),
+    ("pi 5\nvars 1 2 3\nc 1 2 1\n",
+     "line 3: constraint variables not distinct: (1, 2, 1)"),
+    ("pi 5\nvars a a b\n", "line 2: repeated variable: 'a'"),
+    ("pi 5\nvars a b\n\nvars c 01 b\n", "line 4: repeated variable: 'b'"),
 ], ids=["pi-two-values", "k-two-values", "bare-pi", "bare-k", "second-pi",
-        "second-k"])
+        "second-k", "pi-range", "k-zero", "unknown-var", "repeated-in-c",
+        "repeated-var", "repeated-across-lines"])
 def test_parse_directive_lines(text, message):
     # one value per pi / k line and one line of each: the parser neither
-    # drops a token nor lets a later line override an earlier one
+    # drops a token nor lets a later line override an earlier one; and
+    # the checks that need the whole text still name the line at fault
     with pytest.raises(ValueError) as e:
         parse_instance(text)
     assert str(e.value) == message

@@ -9,8 +9,8 @@ import pytest
 
 from triord import gadgets
 from triord.orderings import (
-    Instance, LinearOrdering, implied_constraints, make_instance, ordering,
-    pi_family, restrict, satisfies,
+    TRIVIAL_2ORDER, Instance, LinearOrdering, implied_constraints,
+    make_instance, ordering, pi_family, restrict, satisfies,
 )
 from triord.phylo import (
     Digraph, caterpillar_of, displays, is_caterpillar, join, k_tree_compatible,
@@ -365,6 +365,33 @@ def test_outdeg3_to_2cat_preserves_decision():
         r = reduce_outdeg3_to_2cat(d)
         compat = k_tree_compatible(r, 2, caterpillars_only=True)
         assert (two_dicolorable(d) is not None) == (compat is not None)
+
+
+def test_every_nontrivial_2order_family_is_reached():
+    # the paper's classification: walk the registered ordering reductions
+    # from 1-Π5 and 1-Π9, applying each to a small instance of every
+    # (k, family) reached so far; each 2-Π family is either trivial by the
+    # reversal pair or reached at k = 2
+    chains = {(1, 5): ("1pi5",), (1, 9): ("1pi9",)}
+    frontier = list(chains)
+    while frontier:
+        k, i = frontier.pop(0)
+        source = make_instance(i, k, range(4), [(0, 1, 2), (1, 2, 3)])
+        for name, red in REDUCTIONS.items():
+            if red.source != "ordering":
+                continue
+            try:
+                target = red.transform(source)
+            except ValueError:  # not this reduction's source problem
+                continue
+            key = (target.k, target.pi.index)
+            if key not in chains:
+                chains[key] = chains[k, i] + (name,)
+                frontier.append(key)
+    reached = {i for k, i in chains if k == 2}
+    assert reached == set(range(11)) - TRIVIAL_2ORDER
+    assert chains[2, 6] == ("1pi5", "1pi5_to_2pi0", "2pi0_to_2pi1",
+                            "2pi1_to_2pi6")
 
 
 def test_registry():

@@ -337,7 +337,7 @@ def test_search_counters_on_fixed_cases():
     assert cnf.next(None) is not None  # tau(6) <= 4
     s = cnf.sat
     assert (s.conflicts, s.decisions, s.propagations) == (11, 30, 591)
-    gens, fam, k, _ = builtin_gadget("pi9")
+    gens, fam, k = builtin_gadget("pi9")
     cnf = _PairOrderCnf(gadget_instance(list(gens), fam, k))
     count = 0
     while (sol := cnf.next(None)) is not None:
@@ -615,7 +615,7 @@ def cnf_fingerprint(sat):
 
 
 def pi9_gadget():
-    gens, fam, k, _ = builtin_gadget("pi9")
+    gens, fam, k = builtin_gadget("pi9")
     return _PairOrderCnf(gadget_instance(list(gens), fam, k))
 
 

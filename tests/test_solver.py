@@ -153,7 +153,7 @@ def test_trivial_families_always_satisfiable():
                                                     ("pi6", 19, 1)])
 def test_enumeration_conflict_budget_on_gadgets(name, conflicts, count):
     # the budget caps conflicts summed over every solve of the enumeration
-    gens, fam, k, _ = builtin_gadget(name)
+    gens, fam, k = builtin_gadget(name)
     inst = gadget_instance(list(gens), fam, k)
     assert len(enumerate_solutions(inst, node_limit=conflicts)) == count
     with pytest.raises(BudgetExceeded):
